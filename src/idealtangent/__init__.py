@@ -16,14 +16,13 @@ from .graded import (AlgebraModule, FiniteGradedAlgebra, HilbertData,
                      ideal_degree_piece, nilpotent_algebra, product_algebra,
                      veronese_truncation, zero_multiplication_algebra)
 from .harrison import (HarrisonComplex, harrison_cohomology,
-                       harrison_differential, harrison_space,
                        module_via_homomorphism)
 from .idealpoints import (GradedSubspace, IdealPoint, QuotientData,
                           classical_tangent_dim, is_graded_ideal,
-                          quotient_algebra, subscheme_to_point)
+                          subscheme_to_point)
 from .linalg import Echelon, Matrix
-from .tangent import (SweepTable, TangentReport, derived_tangent, rder_complex,
-                      rmap_tangent, segre_presentation, stabilization_sweep,
+from .tangent import (SweepTable, TangentReport, derived_tangent, rmap_tangent,
+                      segre_presentation, stabilization_sweep,
                       tangent_at_subscheme)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -391,6 +391,3 @@ def cobar_lie_dual(n_cap=4, field=QQ) -> CobarOperad:
 def cobar(coop, n_cap=None, field=QQ) -> CobarOperad:
     return CobarOperad(coop, n_cap, field)
 
-
-def bar_com(n_cap=3, field=QQ) -> BarCom:
-    return BarCom(n_cap, field)

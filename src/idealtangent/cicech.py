@@ -3,9 +3,11 @@
 Computes H^i(Z, O_Z(e)) for Z = V(f_1..f_c) in P^n cut by a regular
 sequence, via the total complex of the Cech complex on the standard
 (n+1)-chart cover tensored with the Koszul resolution.  Laurent-monomial
-section bases are truncated at an exponent floor; the floor is chosen from
-the twists in play and the computation is repeated with a deeper floor and
-must agree exactly, which guards the truncation.
+section bases are truncated at an exponent floor chosen from the twists in
+play.  Each twist e gets one profile (h^0, ..., h^n): its total complex is
+built and d∘d-checked once, and every degree i is read from it.  A second
+total complex at floor + 1 must give the same profile exactly, which guards
+the truncation.
 
 This pipeline shares no code with the Harrison/tangent machinery beyond
 the base linear algebra, which is what makes it usable as an independent
@@ -14,12 +16,13 @@ oracle for the tangent computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .complexes import CochainComplex
 from .errors import ValidationError
 from .fields import QQ
-from .graded import HomIdealPresentation, ideal_degree_piece
+from .graded import HomIdealPresentation
 from .linalg import Matrix
 from .polynomials import count_monomials, mono_mul, monomials_of_degree
 
@@ -190,13 +193,20 @@ def _acc(entries, row, col, val, field):
 
 def ci_twist_cohomology(ci: CIData, e: int, i: int, field=QQ,
                         check_regular=True) -> int:
-    """dim H^i(Z, O_Z(e)), exactly.
-
-    The exponent floor is chosen from the twists in play and the result is
-    recomputed with floor+1; any disagreement raises (truncation guard).
-    """
+    """dim H^i(Z, O_Z(e)), exactly; read from the twist's profile."""
     if i < 0 or i > ci.n:
         return 0
+    return _twist_profile(ci, e, field, check_regular)[i]
+
+
+@lru_cache(maxsize=None)
+def _twist_profile(ci: CIData, e: int, field, check_regular: bool) -> tuple:
+    """(h^0, ..., h^n)(Z, O_Z(e)) from one total complex.
+
+    The exponent floor is chosen from the twists in play; the profile is
+    recomputed from a second total complex at floor+1 and any disagreement
+    raises (truncation guard).
+    """
     degs = ci.degrees
     twists = [e] + [e - sum(sub) for r in range(1, len(degs) + 1)
                     for sub in combinations(degs, r)]
@@ -205,14 +215,14 @@ def ci_twist_cohomology(ci: CIData, e: int, i: int, field=QQ,
                                {sum(degs), sum(degs) + 1})
         _koszul_exactness_probe(ci, probe_degrees, field)
     floor = ci.n + 1 + max(abs(t) for t in twists)
-    dims = []
+    profiles = []
     for f in (floor, floor + 1):
         total = _total_complex(ci, e, f, field)
-        dims.append(total.cohomology(i, 0))
-    if dims[0] != dims[1]:
+        profiles.append(tuple(total.cohomology(i) for i in range(ci.n + 1)))
+    if profiles[0] != profiles[1]:
         raise ValidationError(
             f"Laurent truncation unstable at floor {floor}; deepen the floor")
-    return dims[0]
+    return profiles[0]
 
 
 def ci_normal_cohomology(ci: CIData, i: int, field=QQ) -> int:

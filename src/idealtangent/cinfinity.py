@@ -197,14 +197,10 @@ def rca_tangent(algebra: FiniteGradedAlgebra, m: int = 0,
                               f"(square fails at weight {bad})")
     if m + 2 > weight_cap:
         raise BudgetError(f"weight budget exceeded: need weight {m + 2}")
-    module = AlgebraModule.regular(algebra)
-    hc = HarrisonComplex(algebra, module, weight_cap + 1)
-    dims = [hc.space(2).dim - hc.diff(2).rank()]  # Z^2, cocycles
-    for i in range(1, m + 1):
-        n = i + 2
-        dim_ker = hc.space(n).dim - hc.diff(n).rank()
-        dims.append(dim_ker - hc.diff(n - 1).rank())
-    return dims
+    cx = HarrisonComplex(algebra, AlgebraModule.regular(algebra),
+                         m + 3).cochain_complex()
+    dims = [cx.dim(1) - cx.rank(1)]  # Z^2: weight-2 cocycles, in degree 1
+    return dims + [cx.cohomology(i + 1) for i in range(1, m + 1)]
 
 
 def rca_tangent_via_mc(algebra: FiniteGradedAlgebra) -> int:
@@ -219,9 +215,6 @@ def rca_tangent_via_mc(algebra: FiniteGradedAlgebra) -> int:
     for p in pairs:
         for w in range(dim):
             var[(p, w)] = len(var)
-
-    def g_value(a, b, w):
-        return var[((min(a, b), max(a, b)), w)]
 
     ech = Echelon(F)
     mu = strict.operations.get(2, {})
@@ -270,14 +263,8 @@ def rhom_tangent(algebra_a: FiniteGradedAlgebra, algebra_b: FiniteGradedAlgebra,
     if m + 2 > weight_cap:
         raise BudgetError(f"weight budget exceeded: need weight {m + 2}")
     module = module_via_homomorphism(algebra_a, algebra_b, components)
-    hc = HarrisonComplex(algebra_a, module, weight_cap + 1)
-    dims = []
-    for i in range(0, m + 1):
-        n = i + 1
-        dim_ker = hc.space(n).dim - hc.diff(n).rank()
-        rank_prev = hc.diff(n - 1).rank() if n >= 2 else 0
-        dims.append(dim_ker - rank_prev)
-    return dims
+    cx = HarrisonComplex(algebra_a, module, m + 2).cochain_complex()
+    return [cx.cohomology(i) for i in range(m + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -348,9 +335,6 @@ class GradedPoly:
             for m2, c2 in other.coeffs.items():
                 out.add_term(m1 + m2, c1 * c2)
         return out
-
-    def mono_parity(self, mono):
-        return sum(self.parities[v] for v in mono) % 2
 
 
 def apply_derivation(poly: GradedPoly, images: dict) -> GradedPoly:

@@ -17,7 +17,7 @@ from .cicech import CIData, ci_normal_cohomology, ci_twist_cohomology
 from .errors import BudgetError, InternalCheckError, ValidationError
 from .fields import field_from_spec
 from .graded import AlgebraModule, coordinate_ring_truncation, hilbert_data
-from .harrison import HarrisonComplex, harrison_cohomology
+from .harrison import HarrisonComplex
 from .scenarios import Scenario, parse_scenario, presentation_from
 from .tangent import (rmap_tangent, segre_presentation, stabilization_sweep,
                       tangent_at_subscheme)
@@ -87,21 +87,17 @@ def run_sweep(sc: Scenario, threads=1) -> dict:
 
 def run_harrison(sc: Scenario) -> dict:
     algebra = sc.build_algebra()
-    module = AlgebraModule.regular(algebra)
-    hc = HarrisonComplex(algebra, module, sc.weight + 1)
+    cx = HarrisonComplex(algebra, AlgebraModule.regular(algebra),
+                         sc.weight + 1).cochain_complex()
+    weights = range(1, sc.weight + 1)
     report = _base_report(sc)
     report["algebra"] = " ".join(sc.algebra_spec)
-    report["space_dims"] = {str(n): hc.space(n).dim
-                            for n in range(1, sc.weight + 1)}
-    report["cohomology"] = {
-        str(n): harrison_cohomology(algebra, module, n)
-        for n in range(1, sc.weight + 1)}
+    report["space_dims"] = {str(n): cx.dim(n - 1) for n in weights}
+    report["cohomology"] = {str(n): cx.cohomology(n - 1) for n in weights}
     return report
 
 
 def run_operad(sc: Scenario) -> dict:
-    from math import factorial
-
     from .barcobar import BarCom, CobarOperad, cobar_lie_dual
     from .operads import LieOperad
     # Lie dimensions go up to the requested cap (max 5); bar/cobar follow
@@ -237,7 +233,7 @@ def main(argv=None) -> int:
                              "(breaks byte-for-byte determinism)")
     args = parser.parse_args(argv)
 
-    started = time.time()
+    started = time.monotonic()
     try:
         with open(args.scenario, encoding="utf-8") as fh:
             sc = parse_scenario(fh.read())
@@ -264,7 +260,7 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    elapsed = time.time() - started
+    elapsed = time.monotonic() - started
     if args.timing:
         report["timing_seconds"] = round(elapsed, 3)
     payload = (json.dumps(report, indent=2, sort_keys=True) + "\n"

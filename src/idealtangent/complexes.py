@@ -25,6 +25,7 @@ class CochainComplex:
             if m is None or m.is_zero():
                 continue
             self.diffs[(i, j)] = m
+        self._ranks: dict = {}
         if check:
             self._check()
 
@@ -48,26 +49,28 @@ class CochainComplex:
             if nxt is not None and not nxt.mul(m).is_zero():
                 raise InternalCheckError(f"d∘d != 0 at {(i, j)}")
 
+    def rank(self, i, j=0) -> int:
+        """Rank of the differential at (i, j); each is ranked at most once."""
+        m = self.diffs.get((i, j))
+        if m is None:
+            return 0
+        if (i, j) not in self._ranks:
+            self._ranks[(i, j)] = m.rank()
+        return self._ranks[(i, j)]
+
     def cohomology(self, i, j=0, representatives=False):
         """dim H^i at internal degree j, optionally with representatives.
 
         Representatives are cocycles independent modulo coboundaries, as
         columns of a Matrix.
         """
-        d_i = self.diff(i, j)
-        d_prev = self.diff(i - 1, j)
-        rank_prev = d_prev.rank()
         if not representatives:
-            dim_ker = self.dim(i, j) - d_i.rank()
-            return dim_ker - rank_prev
-        ker = d_i.kernel_basis()
+            return self.dim(i, j) - self.rank(i, j) - self.rank(i - 1, j)
         ech = Echelon(self.field)
-        for col in d_prev.mul(Matrix.identity(d_prev.ncols, self.field)).cols():
+        for col in self.diff(i - 1, j).cols():
             ech.insert(col)
-        reps = []
-        for col in ker.cols():
-            if ech.insert(col) is not None:
-                reps.append(col)
+        reps = [col for col in self.diff(i, j).kernel_basis().cols()
+                if ech.insert(col) is not None]
         return len(reps), Matrix.from_cols(reps, self.dim(i, j), self.field)
 
     def euler_characteristic(self, j=0) -> int:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from .errors import InternalCheckError, ValidationError
 from .fields import QQ
 from .linalg import Echelon, Matrix
-from .polynomials import (Poly, count_monomials, mono_mul, mono_str,
+from .polynomials import (count_monomials, mono_mul, mono_str,
                           monomials_of_degree, parse_homogeneous)
 
 
@@ -36,9 +36,6 @@ class HomIdealPresentation:
     @property
     def projective_dim(self) -> int:
         return self.nvars - 1
-
-    def gen_degrees(self) -> list[int]:
-        return [g.homogeneous_degree() for g in self.gens]
 
 
 class SubspaceBasis:
@@ -308,18 +305,6 @@ class TruncatedCoordinateRing:
                     entries[(remap[col], a * nb + b)] = v
         return Matrix(dims[target], dims[i] * dims[j], entries, self.field)
 
-    def project_poly(self, poly: Poly) -> tuple[int, dict]:
-        """Normal form of a homogeneous polynomial: (degree, quotient vector)."""
-        d = poly.homogeneous_degree()
-        if d is None:
-            raise ValidationError("polynomial is not homogeneous")
-        if d not in self.monomials:
-            raise ValidationError(f"degree {d} outside the window [{self.p},{self.q}]")
-        index = {m: k for k, m in enumerate(self.monomials[d])}
-        vec = {index[m]: self.field.coerce(c) for m, c in poly.coeffs.items()}
-        residue, _ = self.ideal_pieces[d].echelon.reduce(vec)
-        remap = self._col_to_idx[d]
-        return d, {remap[c]: v for c, v in residue.items()}
 
 
 def coordinate_ring_truncation(presentation: HomIdealPresentation, p: int, q: int,

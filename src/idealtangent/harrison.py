@@ -15,19 +15,22 @@ recovered by reducing the tuple modulo the shuffle span.  This keeps the
 windowed internal-degree-0 slices small enough for exact arithmetic.
 
 The coboundary is the negative of the Hochschild one, so that on weight 1
-it is exactly (delta f)(a, b) = f(ab) - a f(b) - b f(a); d∘d = 0 is
-asserted wherever complexes are assembled.
+it is exactly (delta f)(a, b) = f(ab) - a f(b) - b f(a).
+
+`HarrisonComplex.cochain_complex` is the one place a Harrison complex
+becomes a `CochainComplex`: weight-w cochains sit in degree w - 1, so
+H^0 is the derivations.  Every cohomology, rank and d∘d check of a
+Harrison complex goes through that `CochainComplex`.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 
+from .complexes import CochainComplex
 from .errors import BudgetError, InternalCheckError, NotAHomomorphismError
 from .graded import AlgebraModule, FiniteGradedAlgebra
 from .linalg import Echelon, Matrix
-
-
-from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
@@ -113,9 +116,6 @@ class ShuffleBlock:
     def dim(self) -> int:
         return len(self.std)
 
-    def comp_of(self, comp: tuple) -> int:
-        return self._comp_index[comp]
-
     def reduce_col(self, ci: int, tup: tuple) -> dict:
         """Standard-tuple expansion of the elementary tuple (ci, tup)."""
         col = self.col_of[(ci, tup)]
@@ -129,17 +129,6 @@ class ShuffleBlock:
             out = {self.std_pos[c]: v for c, v in residue.items()}
         self._reduce_cache[col] = out
         return out
-
-    def reduce_vector(self, vec: dict) -> dict:
-        """Reduce a sparse vector over full tuple columns to std coordinates."""
-        F = self.algebra.field
-        out: dict[int, object] = {}
-        for col, c in vec.items():
-            base = self.reduce_col(*self.cols[col])
-            for t, v in base.items():
-                nv = F.add(out.get(t, F.zero), F.mul(F.coerce(c), v))
-                out[t] = nv
-        return {t: v for t, v in out.items() if not F.is_zero(v)}
 
 
 class HarrisonWeightSpace:
@@ -218,6 +207,17 @@ class HarrisonComplex:
         if n not in self._diffs:
             self._diffs[n] = self._build_diff(n)
         return self._diffs[n]
+
+    def cochain_complex(self) -> CochainComplex:
+        """Weights 1..n_max as a cochain complex: degree w-1 holds weight w.
+
+        There is no differential out of the top term, so H^{w-1} is
+        Harrison H^w for w < n_max.  H^0 is Der(A, M).
+        """
+        terms = {(w - 1, 0): self.space(w).dim
+                 for w in range(1, self.n_max + 1)}
+        diffs = {(w - 1, 0): self.diff(w) for w in range(1, self.n_max)}
+        return CochainComplex(terms, diffs, self.algebra.field)
 
     def _build_diff(self, n: int) -> Matrix:
         A, M = self.algebra, self.module
@@ -400,35 +400,12 @@ class HarrisonComplex:
         return True
 
 
-def harrison_space(algebra, module, n, internal_degree=None) -> HarrisonWeightSpace:
-    return HarrisonWeightSpace(algebra, module, n, internal_degree)
-
-
-def harrison_differential(algebra, module, n, internal_degree=None) -> Matrix:
-    return HarrisonComplex(algebra, module, n + 1, internal_degree).diff(n)
-
-
 def harrison_cohomology(algebra, module, n, internal_degree=None,
                         representatives=False):
-    """Exact dim of H^n Harr(A, M) (weight-n cochains sit in degree n)."""
-    hc = HarrisonComplex(algebra, module, n + 1, internal_degree)
-    d_n = hc.diff(n)
-    rank_prev = hc.diff(n - 1).rank() if n >= 2 else 0
-    dim_ker = hc.space(n).dim - d_n.rank()
-    if not representatives:
-        return dim_ker - rank_prev
-    ker = d_n.kernel_basis()
-    ech = Echelon(algebra.field)
-    if n >= 2:
-        prev = hc.diff(n - 1)
-        for j in range(prev.ncols):
-            ech.insert(prev.col(j))
-    reps = []
-    for j in range(ker.ncols):
-        col = ker.col(j)
-        if ech.insert(col) is not None:
-            reps.append(col)
-    return dim_ker - rank_prev, reps
+    """Exact dim of H^n Harr(A, M), or (dim, representatives as the columns
+    of a Matrix); see CochainComplex.cohomology."""
+    cx = HarrisonComplex(algebra, module, n + 1, internal_degree).cochain_complex()
+    return cx.cohomology(n - 1, representatives=representatives)
 
 
 def module_via_homomorphism(algebra_a, algebra_b, components: dict,

@@ -8,7 +8,6 @@ constraint system.
 from __future__ import annotations
 
 from .errors import InternalCheckError, NotASubschemeError, ValidationError
-from .fields import QQ
 from .graded import (AlgebraModule, FiniteGradedAlgebra, HomIdealPresentation,
                      TruncatedCoordinateRing, ideal_degree_piece)
 from .linalg import Echelon, Matrix
@@ -169,12 +168,6 @@ class QuotientData:
             mult[(i, j)] = Matrix(dims[i + j], ni * nj, entries, F)
         self.quotient = FiniteGradedAlgebra(F, dims, mult, labels)
 
-    def project_vec(self, d: int, vec: dict) -> dict:
-        return self.proj[d].times_vec(vec)
-
-    def lift_vec(self, d: int, vec: dict) -> dict:
-        return self.lift[d].times_vec(vec)
-
     def module_over_ambient(self) -> AlgebraModule:
         """A/I as a module over A (action through the projection)."""
         A, B = self.algebra, self.quotient
@@ -194,10 +187,6 @@ class QuotientData:
             action[(i, e)] = Matrix(B.dims[i + e], A.dims[i] * ne, entries, A.field)
         return AlgebraModule(self.algebra, dict(B.dims), action,
                              labels=dict(B.labels), check=False)
-
-
-def quotient_algebra(algebra: FiniteGradedAlgebra, ideal: IdealPoint) -> QuotientData:
-    return QuotientData(algebra, ideal)
 
 
 def _multiplier_degrees(algebra: FiniteGradedAlgebra) -> list[int]:

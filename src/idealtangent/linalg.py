@@ -189,13 +189,6 @@ class Echelon:
         return not residue
 
 
-def rank_of_rows(rows, field=QQ) -> int:
-    ech = Echelon(field)
-    for r in rows:
-        ech.insert(r)
-    return ech.rank
-
-
 class Matrix:
     """A sparse exact matrix; entries is {(i, j): scalar}."""
 

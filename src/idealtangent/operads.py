@@ -29,15 +29,6 @@ ARITY_CAP = 5
 # permutations
 
 
-def perm_sign(perm) -> int:
-    sign = 1
-    seen = []
-    for v in perm:
-        sign *= (-1) ** sum(1 for s in seen if s > v)
-        seen.append(v)
-    return sign
-
-
 def adjacent_factorization(perm):
     """perm = s_{w[0]} . s_{w[1]} . ... applied right to left."""
     work = list(perm)
@@ -643,10 +634,6 @@ class DerivationDifferential:
             out = tree_sn_action(self.gens, consec, flat)
         self._cache[el] = out
         return out
-
-    @staticmethod
-    def _slot_of(j, blocks):
-        return 1 + sum(len(blocks[t]) for t in range(j - 1))
 
     def of_element(self, element: dict) -> dict:
         F = self.gens.field

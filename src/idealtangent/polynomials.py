@@ -97,24 +97,12 @@ class Poly:
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
         return Poly(self.nvars, out)
 
-    def mono_multiple(self, m: Mono):
-        return Poly(self.nvars, {mono_mul(m, mm): c for mm, c in self.coeffs.items()})
-
     def homogeneous_degree(self):
         """The common degree of all terms, or None if inhomogeneous/zero."""
         degs = {mono_degree(m) for m in self.coeffs}
         if len(degs) != 1:
             return None
         return degs.pop()
-
-    def coefficient_vector(self, basis: tuple) -> dict:
-        index = {m: i for i, m in enumerate(basis)}
-        out = {}
-        for m, c in self.coeffs.items():
-            if m not in index:
-                raise ValidationError(f"monomial {mono_str(m)} outside basis")
-            out[index[m]] = c
-        return out
 
     def __str__(self):
         if not self.coeffs:

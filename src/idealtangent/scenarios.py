@@ -46,6 +46,7 @@ class Scenario:
     twist: int | None = None
     max_i: int = 1
     algebra_spec: tuple | None = None
+    algebra_at: tuple = (0, 0)    # (line, column) of the algebra value
     d_max: int = 8
     x_gens: list = dc_field(default_factory=list)
     z_gens: list = dc_field(default_factory=list)
@@ -63,34 +64,46 @@ class Scenario:
         """Small test algebras for harrison-type tasks."""
         if self.algebra_spec is None:
             raise ValidationError("scenario needs an 'algebra' entry")
-        return _algebra_from_spec(self.algebra_spec, self.field or QQ)
+        return _algebra_from_spec(self.algebra_spec, self.field or QQ,
+                                  self.algebra_at)
 
 
-def _algebra_from_spec(spec: tuple, field):
-    kind, args = spec[0], spec[1:]
-    if kind == "nilpotent":
-        return nilpotent_algebra(int(args[0]), field)
-    if kind == "zero":
-        return zero_multiplication_algebra(int(args[0]), field)
+def _algebra_from_spec(spec: tuple, field, at: tuple):
+    where = f"line {at[0]}, column {at[1]}"
+    kind, args = spec[0] if spec else "", spec[1:]
+    sized = {"nilpotent": nilpotent_algebra, "zero": zero_multiplication_algebra}
+    if kind in sized:
+        if len(args) != 1:
+            raise ValidationError(
+                f"{where}: {kind} expects one size, got {' '.join(args)!r}")
+        return sized[kind](_int(args[0], f"{kind} size", *at), field)
     if kind == "product":
         half = list(args)
         # product <kind> <arg> <kind> <arg>
         if len(half) != 4:
-            raise ValidationError("product algebra spec needs two factors")
-        a = _algebra_from_spec((half[0], half[1]), field)
-        b = _algebra_from_spec((half[2], half[3]), field)
+            raise ValidationError(
+                f"{where}: product algebra spec needs two factors")
+        a = _algebra_from_spec((half[0], half[1]), field, at)
+        b = _algebra_from_spec((half[2], half[3]), field, at)
         return product_algebra(a, b)
-    raise ValidationError(f"unknown algebra spec {kind!r} "
+    raise ValidationError(f"{where}: unknown algebra spec {kind!r} "
                           "(use nilpotent/zero/product)")
 
 
-def _intlist(value: str, key: str, lineno: int):
+def _intlist(value: str, key: str, lineno: int, col: int):
     try:
         return tuple(int(tok) for tok in value.split())
     except ValueError:
-        raise ValidationError(
-            f"line {lineno}, column 1: {key} expects integers, got {value!r}"
-        ) from None
+        raise ValidationError(f"line {lineno}, column {col}: {key} expects "
+                              f"integers, got {value!r}") from None
+
+
+def _int(value: str, key: str, lineno: int, col: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValidationError(f"line {lineno}, column {col}: {key} expects "
+                              f"an integer, got {value!r}") from None
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -124,10 +137,11 @@ def parse_scenario(text: str) -> Scenario:
         key, value = key.strip(), value.strip()
         if key not in _SCALAR_KEYS:
             raise ValidationError(f"line {lineno}, column 1: unknown key {key!r}")
-        data[(key, lineno)] = value
+        col = len(stripped) - len(value) + 1   # where the value starts
+        data[(key, lineno)] = (value, col)
 
     sc = Scenario(task="")
-    for (key, lineno), value in data.items():
+    for (key, lineno), (value, col) in data.items():
         if key == "task":
             if value not in TASKS:
                 raise ValidationError(
@@ -137,38 +151,29 @@ def parse_scenario(text: str) -> Scenario:
         elif key == "field":
             sc.field = field_from_spec(value)
         elif key == "nvars":
-            sc.nvars = int(_intlist(value, key, lineno)[0])
+            sc.nvars = _int(value, key, lineno, col)
         elif key == "segre":
-            pair = _intlist(value, key, lineno)
+            pair = _intlist(value, key, lineno, col)
             if len(pair) != 2:
                 raise ValidationError(
                     f"line {lineno}, column 1: segre expects two dimensions")
             sc.segre = pair
         elif key == "window":
-            pair = _intlist(value, key, lineno)
+            pair = _intlist(value, key, lineno, col)
             if len(pair) != 2 or pair[0] > pair[1] or pair[0] < 0:
                 raise ValidationError(
                     f"line {lineno}, column 1: window expects 'p q' with "
                     f"0 <= p <= q")
             sc.window = pair
         elif key == "p_range":
-            sc.p_range = _intlist(value, key, lineno)
+            sc.p_range = _intlist(value, key, lineno, col)
         elif key == "q_range":
-            sc.q_range = _intlist(value, key, lineno)
-        elif key == "m":
-            sc.m = int(value)
-        elif key == "weight":
-            sc.weight = int(value)
-        elif key == "arity_cap":
-            sc.arity_cap = int(value)
-        elif key == "twist":
-            sc.twist = int(value)
-        elif key == "max_i":
-            sc.max_i = int(value)
+            sc.q_range = _intlist(value, key, lineno, col)
+        elif key in ("m", "weight", "arity_cap", "twist", "max_i", "d_max"):
+            setattr(sc, key, _int(value, key, lineno, col))
         elif key == "algebra":
             sc.algebra_spec = tuple(value.split())
-        elif key == "d_max":
-            sc.d_max = int(value)
+            sc.algebra_at = (lineno, col)
     if not sc.task:
         raise ValidationError("scenario does not declare a task")
     if sc.field is None:

@@ -5,23 +5,24 @@ the restriction map between derivation complexes,
 
     rder(A/I, A/I)  -->  rder(A, A/I),
 
-where rder is the Harrison cochain complex reindexed so that cohomological
-degree i holds the weight-(i+1) cochains (H^0 = derivations) and only the
-internal-degree-0 slice is kept.  The i-th tangent cohomology is
+where rder is the internal-degree-0 slice of a Harrison complex, turned
+into a cochain complex by `HarrisonComplex.cochain_complex` (degree =
+weight - 1, so H^0 = derivations).  Each of the two Harrison complexes is
+built once and serves both its cochain complex and the restriction map
+between them.  The i-th tangent cohomology is
 H^{i+1} of the fiber; the shift is calibrated by the bootstrap cases
 (zero ideal => everything vanishes; points on a line => H^0 = number of
 points), which the test suite pins down.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field as dc_field
 
-from .complexes import ChainMap, CochainComplex, mapping_fiber
+from .complexes import ChainMap, mapping_fiber
 from .errors import BudgetError, ValidationError
 from .fields import QQ
 from .graded import (AlgebraModule, FiniteGradedAlgebra, HomIdealPresentation,
-                     TruncatedCoordinateRing, coordinate_ring_truncation)
+                     coordinate_ring_truncation)
 from .harrison import HarrisonComplex
 from .idealpoints import (IdealPoint, QuotientData, classical_tangent_dim,
                           subscheme_to_point)
@@ -30,22 +31,6 @@ from .linalg import Matrix
 #: Harrison weights beyond this are refused (memory wall); H^i needs
 #: weights through i+2, so the default allows m <= 2.
 DEFAULT_WEIGHT_CAP = 4
-
-
-def rder_complex(algebra: FiniteGradedAlgebra, module: AlgebraModule,
-                 top_weight: int, internal_degree=0) -> CochainComplex:
-    """The derivation complex: degree i term = weight-(i+1) Harrison space.
-
-    Terms run through weight `top_weight`; there is no differential out of
-    the top term.  H^0 = Der^0(A, M) by the weight-1 coboundary formula.
-    """
-    hc = HarrisonComplex(algebra, module, top_weight, internal_degree)
-    terms, diffs = {}, {}
-    for w in range(1, top_weight + 1):
-        terms[(w - 1, 0)] = hc.space(w).dim
-    for w in range(1, top_weight):
-        diffs[(w - 1, 0)] = hc.diff(w)
-    return CochainComplex(terms, diffs, algebra.field)
 
 
 def _pullback_components(quotient: QuotientData, hc_sub: HarrisonComplex,
@@ -155,8 +140,8 @@ def derived_tangent(algebra: FiniteGradedAlgebra, ideal: IdealPoint, m: int,
     m_t = quotient.module_over_ambient()
     hc_s = HarrisonComplex(B, m_s, top_s, internal_degree=0)
     hc_t = HarrisonComplex(algebra, m_t, top_t, internal_degree=0)
-    source = rder_complex(B, m_s, top_s)
-    target = rder_complex(algebra, m_t, top_t)
+    source = hc_s.cochain_complex()
+    target = hc_t.cochain_complex()
     comps = _pullback_components(quotient, hc_s, hc_t, top_t)
     fiber = mapping_fiber(ChainMap(source, target, comps))
     dims = [fiber.cohomology(i + 1) for i in range(m + 1)]
@@ -307,6 +292,3 @@ def rmap_tangent(c_dim: int, y_dim: int, graph_gens, m: int, p: int, q: int,
         "graph-projects-isomorphically-to-C not checked (caller contract)")
     return report
 
-
-def report_json(obj) -> str:
-    return json.dumps(obj.to_dict(), indent=2, sort_keys=True)

@@ -1,12 +1,15 @@
 """Cech-Koszul oracle: closed forms, duality, Euler characteristics."""
 import pytest
 
+from idealtangent import cicech
 from idealtangent.cicech import (CIData, ci_normal_cohomology,
                                  ci_twist_cohomology,
                                  projective_space_line_bundle)
+from idealtangent.complexes import CochainComplex
 from idealtangent.errors import ValidationError
 from idealtangent.fields import PrimeField
 from idealtangent.graded import HomIdealPresentation, hilbert_data
+from idealtangent.linalg import Matrix
 
 
 def test_projective_space_closed_forms():
@@ -107,3 +110,40 @@ def test_ci_22_curve_normal_sections_match_tangent_pipeline():
     ring = coordinate_ring_truncation(ambient, 2, 6)
     point = subscheme_to_point(ring, z)
     assert classical_tangent_dim(ring.algebra, point) == oracle
+
+
+def test_every_degree_of_a_twist_builds_two_total_complexes(monkeypatch):
+    floors = []
+    build = cicech._total_complex
+
+    def counting(ci, e, floor, field):
+        floors.append(floor)
+        return build(ci, e, floor, field)
+
+    monkeypatch.setattr(cicech, "_total_complex", counting)
+    ci = CIData.from_strings(3, ["x0^2 - x1*x2"])
+    assert [ci_twist_cohomology(ci, 2, i) for i in range(3)] == [5, 0, 0]
+    assert ci_normal_cohomology(ci, 0) == 5
+    assert len(floors) == 2 and floors[1] == floors[0] + 1
+
+
+def test_perturbed_deeper_floor_is_caught(monkeypatch):
+    floors = []
+    build = cicech._total_complex
+
+    def perturbed(ci, e, floor, field):
+        cx = build(ci, e, floor, field)
+        floors.append(floor)
+        if len(floors) == 1:
+            return cx
+        # one more class in H^n at floor + 1 only
+        terms, diffs = dict(cx.terms), dict(cx.diffs)
+        terms[(ci.n, 0)] += 1
+        d = cx.diff(ci.n - 1)
+        diffs[(ci.n - 1, 0)] = Matrix(d.nrows + 1, d.ncols, d.entries, d.field)
+        return CochainComplex(terms, diffs, cx.field)
+
+    monkeypatch.setattr(cicech, "_total_complex", perturbed)
+    ci = CIData.from_strings(2, ["x0*x1"])
+    with pytest.raises(ValidationError, match="truncation unstable"):
+        ci_twist_cohomology(ci, 2, 0)

@@ -1,6 +1,9 @@
 """CLI: golden-file regressions, determinism, exit codes."""
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -76,6 +79,21 @@ def test_compare_mismatch_exits_3(tmp_path, capsys):
     report = json.loads(out)
     assert report["all_match"] is False
     assert any(c["verdict"] == "MISMATCH" for c in report["comparisons"])
+
+
+@pytest.mark.parametrize("task,line", [("tangent", "m = one"),
+                                       ("harrison", "algebra = nilpotent x")])
+def test_bad_integer_exits_1_without_traceback(tmp_path, task, line):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(f"task = {task}\nnvars = 2\nwindow = 2 5\n{line}\n"
+                   "z_gens:\n  x0*x1\n")
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    proc = subprocess.run([sys.executable, "-m", "idealtangent.cli", task,
+                           str(bad)], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "validation error: line 4, column" in proc.stderr
 
 
 def test_task_subcommand_mismatch_exits_1(capsys):

@@ -126,3 +126,21 @@ def test_cohomology_representatives():
     c2 = CochainComplex({(0, 0): 1, (1, 0): 1}, {(0, 0): Matrix.identity(1)})
     dim2, reps2 = c2.cohomology(1, 0, representatives=True)
     assert dim2 == 0 and reps2.ncols == 0
+
+
+def test_each_differential_is_ranked_once(monkeypatch):
+    c = koszul_xy_degree_slice(3)
+    ranked = []
+    rank = Matrix.rank
+
+    def counting(m):
+        ranked.append(id(m))
+        return rank(m)
+
+    monkeypatch.setattr(Matrix, "rank", counting)
+    assert [c.cohomology(i, 3) for i in range(3)] == [0, 0, 0]
+    # an Euler-style sweep over all degrees asks for every H^i again
+    chi = sum((-1) ** i * c.cohomology(i, 3) for i in range(-1, 4))
+    assert chi == c.euler_characteristic(3) == 0
+    assert sorted(ranked) == sorted(id(m) for m in c.diffs.values())
+    assert c.rank(5, 3) == 0 and len(ranked) == 2   # absent differential

@@ -6,9 +6,9 @@ import pytest
 from idealtangent.errors import NotASubschemeError, ValidationError
 from idealtangent.fields import QQ, PrimeField
 from idealtangent.graded import HomIdealPresentation, coordinate_ring_truncation
-from idealtangent.idealpoints import (GradedSubspace, IdealPoint,
+from idealtangent.idealpoints import (GradedSubspace, IdealPoint, QuotientData,
                                       classical_tangent_dim, is_graded_ideal,
-                                      quotient_algebra, subscheme_to_point)
+                                      subscheme_to_point)
 from idealtangent.polynomials import count_monomials
 
 P1 = HomIdealPresentation.from_strings(2, [])
@@ -65,7 +65,7 @@ def test_not_a_subscheme_detected():
 def test_quotient_of_zero_ideal_is_algebra():
     ring = coordinate_ring_truncation(P1, 2, 4)
     point = subscheme_to_point(ring, P1)
-    q = quotient_algebra(ring.algebra, point)
+    q = QuotientData(ring.algebra, point)
     assert q.quotient.dims == ring.algebra.dims
 
 
@@ -74,14 +74,14 @@ def test_quotient_by_full_ideal_is_zero():
     a = ring.algebra
     full = GradedSubspace(a, {d: [{i: 1} for i in range(a.dims[d])]
                               for d in a.degrees})
-    q = quotient_algebra(a, IdealPoint(a, full))
+    q = QuotientData(a, IdealPoint(a, full))
     assert q.quotient.dims == {}
 
 
 def test_quotient_two_points_dims():
     ring = coordinate_ring_truncation(P1, 2, 5)
     point = subscheme_to_point(ring, TWO_POINTS)
-    q = quotient_algebra(ring.algebra, point)
+    q = QuotientData(ring.algebra, point)
     assert q.quotient.dims == {2: 2, 3: 2, 4: 2, 5: 2}
 
 
@@ -130,7 +130,7 @@ def test_hypersurface_tangent_matches_linear_system(n, e, gens):
 def test_reduced_and_full_multiplier_sets_agree():
     ring = coordinate_ring_truncation(P1, 2, 5)
     point = subscheme_to_point(ring, TWO_POINTS)
-    q = quotient_algebra(ring.algebra, point)
+    q = QuotientData(ring.algebra, point)
     assert (classical_tangent_dim(ring.algebra, point, q, all_multipliers=True)
             == classical_tangent_dim(ring.algebra, point, q))
 

@@ -80,3 +80,23 @@ def test_algebra_specs():
     sc = parse_scenario("task = harrison\nalgebra = frobnicate 4\n")
     with pytest.raises(ValidationError):
         sc.build_algebra()
+
+
+@pytest.mark.parametrize("line,column", [
+    ("nvars = two", 9),
+    ("m = one", 5),
+    ("weight = 2.5", 10),
+    ("arity_cap = four", 13),
+    ("twist = x", 9),
+    ("max_i =", 8),
+    ("d_max = 8 9", 9),
+    ("algebra = nilpotent x", 11),
+    ("algebra = nilpotent", 11),
+    ("algebra = zero 1.5", 11),
+    ("algebra = zero", 11),
+    ("algebra = product nilpotent 2 zero q", 11),
+])
+def test_bad_integer_is_a_located_validation_error(line, column):
+    with pytest.raises(ValidationError) as exc:
+        parse_scenario(f"task = harrison\n{line}\n").build_algebra()
+    assert str(exc.value).startswith(f"line 2, column {column}: ")

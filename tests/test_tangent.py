@@ -1,12 +1,14 @@
 """Derived tangent pipeline: calibration anchors and stabilization."""
+from collections import Counter
+
 import pytest
 
 from idealtangent.cicech import CIData, ci_normal_cohomology
 from idealtangent.errors import BudgetError
 from idealtangent.fields import QQ, PrimeField
 from idealtangent.graded import HomIdealPresentation, coordinate_ring_truncation
-from idealtangent.harrison import HarrisonComplex
-from idealtangent.idealpoints import quotient_algebra, subscheme_to_point
+from idealtangent.harrison import HarrisonComplex, HarrisonWeightSpace
+from idealtangent.idealpoints import subscheme_to_point
 from idealtangent.tangent import (derived_tangent, rmap_tangent,
                                   segre_presentation, stabilization_sweep,
                                   tangent_at_subscheme)
@@ -98,3 +100,17 @@ def test_sweep_with_process_pool_matches_serial():
     serial = stabilization_sweep(P1, TWO_POINTS, 1, [2], [8, 9])
     parallel = stabilization_sweep(P1, TWO_POINTS, 1, [2], [8, 9], threads=2)
     assert serial.to_dict() == parallel.to_dict()
+
+
+def test_each_harrison_weight_space_is_built_once(monkeypatch):
+    built = Counter()
+    init = HarrisonWeightSpace.__init__
+
+    def counting(self, algebra, module, n, internal_degree=None):
+        built[(id(algebra), id(module), n, internal_degree)] += 1
+        init(self, algebra, module, n, internal_degree)
+
+    monkeypatch.setattr(HarrisonWeightSpace, "__init__", counting)
+    rep = tangent_at_subscheme(P2, CONIC, 2, 5, 1, PrimeField(1000003))
+    assert rep.dims[0] == 5
+    assert built and set(built.values()) == {1}, built
