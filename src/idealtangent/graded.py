@@ -82,6 +82,28 @@ def ideal_degree_piece(pres: HomIdealPresentation, d: int, field=QQ) -> Subspace
     return SubspaceBasis(len(basis), ech)
 
 
+def _bilinear(tables: dict, dims: dict, F, i: int, va, j: int, vb) -> dict:
+    """Apply the bilinear table ``tables[(i, j)]`` to ``va`` and ``vb``.
+
+    Column ``a * dims[j] + b`` of the table is the image of the basis pair
+    (a, b).  ``va`` and ``vb`` are vectors, or basis indices, for which that
+    column itself is returned; {} where the table is absent.
+    """
+    m = tables.get((i, j))
+    if m is None:
+        return {}
+    n = dims[j]
+    if type(va) is int:
+        return m.col(va * n + vb)
+    out: dict[int, object] = {}
+    for a, ca in va.items():
+        for b, cb in vb.items():
+            c = F.mul(F.coerce(ca), F.coerce(cb))
+            for r, v in m.col(a * n + b).items():
+                out[r] = F.add(out.get(r, F.zero), F.mul(c, v))
+    return {r: v for r, v in out.items() if not F.is_zero(v)}
+
+
 class FiniteGradedAlgebra:
     """Per-degree bases plus exact multiplication tables.
 
@@ -113,31 +135,13 @@ class FiniteGradedAlgebra:
 
     def mult_column(self, i: int, a: int, j: int, b: int) -> dict:
         """The product of basis elements (degree i, index a)*(degree j, index b)."""
-        m = self.mult.get((i, j))
-        if m is None:
-            return {}
-        nb = self.dims[j]
-        return m.col(a * nb + b)
+        return _bilinear(self.mult, self.dims, self.field, i, a, j, b)
 
     def multiply(self, i: int, va: dict, j: int, vb: dict) -> dict:
         """Product of vectors va in A_i and vb in A_j; {} beyond the window."""
-        m = self.mult.get((i, j))
-        if m is None:
-            return {}
-        F = self.field
-        nb = self.dims[j]
-        out: dict[int, object] = {}
-        for a, ca in va.items():
-            for b, cb in vb.items():
-                c = F.mul(F.coerce(ca), F.coerce(cb))
-                col = m.col(a * nb + b)
-                for r, v in col.items():
-                    nv = F.add(out.get(r, F.zero), F.mul(c, v))
-                    out[r] = nv
-        return {r: v for r, v in out.items() if not F.is_zero(v)}
+        return _bilinear(self.mult, self.dims, self.field, i, va, j, vb)
 
     def _check_tables(self):
-        F = self.field
         for (i, j), m in self.mult.items():
             if m.nrows != self.dims[i + j] or m.ncols != self.dims[i] * self.dims[j]:
                 raise InternalCheckError(f"mult table {(i, j)} has bad shape")
@@ -202,25 +206,10 @@ class AlgebraModule:
         return self.dims.get(e, 0)
 
     def act_column(self, i: int, a: int, e: int, m: int) -> dict:
-        mtx = self.action.get((i, e))
-        if mtx is None:
-            return {}
-        return mtx.col(a * self.dims[e] + m)
+        return _bilinear(self.action, self.dims, self.field, i, a, e, m)
 
     def act(self, i: int, va: dict, e: int, vm: dict) -> dict:
-        mtx = self.action.get((i, e))
-        if mtx is None:
-            return {}
-        F = self.field
-        nm = self.dims[e]
-        out: dict[int, object] = {}
-        for a, ca in va.items():
-            for m, cm in vm.items():
-                c = F.mul(F.coerce(ca), F.coerce(cm))
-                col = mtx.col(a * nm + m)
-                for r, v in col.items():
-                    out[r] = F.add(out.get(r, F.zero), F.mul(c, v))
-        return {r: v for r, v in out.items() if not F.is_zero(v)}
+        return _bilinear(self.action, self.dims, self.field, i, va, e, vm)
 
     def _check_action(self):
         A = self.algebra

@@ -1,26 +1,29 @@
 """Exact sparse linear algebra over QQ and prime fields.
 
-Vectors are dicts {index: scalar} with no explicit zeros.  Over the
-rationals, echelon rows are kept as primitive integer vectors (denominators
-cleared, content divided out, leading entry positive) and updated by
-fraction-free cross-multiplication, which keeps entry growth in check; over
-GF(p) entries are residues.  Pivoting is deterministic: columns are
-processed left to right and within a column the first candidate row wins,
-so all reported bases are reproducible.
+Vectors are dicts {index: scalar} with no explicit zeros.  ``Echelon``
+keeps integer rows: over QQ primitive vectors (denominators cleared,
+content divided out, leading entry positive), over GF(p) residues with
+monic pivot rows.  One row update, ``_combine``, does every elimination in
+both fields by fraction-free cross-multiplication, reduced mod p over GF(p).
+Pivoting is deterministic: columns are processed left to right and within a
+column the first candidate row wins, so all reported bases are reproducible.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 from .errors import InternalCheckError
 from .fields import QQ, RationalField
 
 
-def _strip_content(ints: dict) -> dict:
-    """Divide an integer row by its content; leading entry positive."""
-    if not ints:
-        return {}
+def _primitive(ints: dict, p: int = 0) -> dict:
+    """Over QQ (``p == 0``) divide an integer row by its content, leading
+    entry positive; rows over GF(p) are returned as they are."""
+    if p or not ints:
+        return ints
     g = 0
     for v in ints.values():
         g = gcd(g, v)
@@ -31,34 +34,60 @@ def _strip_content(ints: dict) -> dict:
     return {k: v // g for k, v in ints.items()}
 
 
-def _normalize_int_row(row: dict) -> dict[int, int]:
-    """Clear denominators, strip content, make the leading entry positive."""
-    if not row:
-        return {}
-    lcm = 1
+def _clear_denominators(row: dict) -> tuple[dict[int, int], int]:
+    """Return ``(ints, den)`` with ``row == ints / den`` and ``ints`` integral."""
+    den = 1
     for v in row.values():
         d = v.denominator  # ints carry denominator 1
         if d != 1:
-            lcm = lcm // gcd(lcm, d) * d
+            den = den // gcd(den, d) * d
     ints = {}
     for k, v in row.items():
-        iv = int(v * lcm)
+        iv = int(v * den)
         if iv:
             ints[k] = iv
-    return _strip_content(ints)
+    return ints, den
+
+
+def _combine(work: dict, piv: dict, c: int, p: int) -> tuple[dict, int, int]:
+    """Clear column ``c`` of ``work`` against the pivot row ``piv``.
+
+    Returns ``(fa*work - fb*piv, fa, fb)``, where ``fa`` and ``fb`` are the
+    two entries at ``c`` divided by their gcd, swapped.  With ``p`` set the
+    result is taken mod p; pivot rows are monic there, so ``fa`` is 1.
+    """
+    a, b = work[c], piv[c]
+    if p:
+        fa, fb = 1, a
+    else:
+        g = gcd(a, b)
+        fa, fb = b // g, a // g
+    nxt = dict(work) if p else {k: fa * v for k, v in work.items()}
+    for k, v in piv.items():
+        nv = nxt.get(k, 0) - fb * v
+        if p:
+            nv %= p
+        if nv:
+            nxt[k] = nv
+        else:
+            del nxt[k]
+    return nxt, fa, fb
 
 
 class Echelon:
-    """Incremental row-echelon accumulator.
+    """Incremental row-echelon accumulator over QQ (``p == 0``) or GF(p).
 
     Rows are inserted one at a time; ``pivot_rows`` maps a pivot column to
-    the (normalized) row leading there.  Supports rank queries, reduction of
-    vectors modulo the row space, and full back-substitution to RREF.
+    the integer row leading there: primitive with a positive leading entry
+    over QQ, monic over GF(p).  Entries are coerced once, when a row or
+    vector comes in; every elimination after that is a ``_combine``.
+    Supports rank queries, reduction of vectors modulo the row space, and
+    full back-substitution to RREF.
     """
 
     def __init__(self, field=QQ):
         self.field = field
-        self.rational = isinstance(field, RationalField)
+        self.p = 0 if isinstance(field, RationalField) else field.p
         self.pivot_rows: dict[int, dict] = {}
         self._reduced = False
 
@@ -70,50 +99,28 @@ class Echelon:
     def pivots(self) -> list[int]:
         return sorted(self.pivot_rows)
 
+    def _int_row(self, row: dict) -> tuple[dict, int]:
+        """``(ints, den)`` with ``row == ints / den``; ``den`` is 1 over GF(p)."""
+        if not self.p:
+            return _clear_denominators(row)
+        coerce = self.field.coerce
+        return {k: cv for k, v in row.items() if (cv := coerce(v))}, 1
+
     def insert(self, row: dict):
         """Insert a row; return its pivot column, or None if dependent."""
-        if self.rational:
-            work = _normalize_int_row(row)
-            while work:
-                c = min(work)
-                piv = self.pivot_rows.get(c)
-                if piv is None:
-                    self.pivot_rows[c] = work
-                    self._reduced = False
-                    return c
-                a, b = work[c], piv[c]
-                g = gcd(a, b)
-                fa, fb = b // g, a // g
-                nxt = {}
-                for k, v in work.items():
-                    nxt[k] = fa * v
-                for k, v in piv.items():
-                    nv = nxt.get(k, 0) - fb * v
-                    if nv:
-                        nxt[k] = nv
-                    elif k in nxt:
-                        del nxt[k]
-                work = _strip_content(nxt)  # entries already integral
-            return None
-        F = self.field
-        work = {k: F.coerce(v) for k, v in row.items() if not F.is_zero(F.coerce(v))}
+        p = self.p
+        work = _primitive(self._int_row(row)[0], p)
         while work:
             c = min(work)
             piv = self.pivot_rows.get(c)
             if piv is None:
-                inv = F.div(F.one, work[c])
-                self.pivot_rows[c] = {k: F.mul(v, inv) for k, v in work.items()}
+                if p:
+                    inv = pow(work[c], p - 2, p)
+                    work = {k: v * inv % p for k, v in work.items()}
+                self.pivot_rows[c] = work
                 self._reduced = False
                 return c
-            coeff = work[c]
-            nxt = dict(work)
-            for k, v in piv.items():
-                nv = F.sub(nxt.get(k, F.zero), F.mul(coeff, v))
-                if F.is_zero(nv):
-                    nxt.pop(k, None)
-                else:
-                    nxt[k] = nv
-            work = nxt
+            work = _primitive(_combine(work, piv, c, p)[0], p)
         return None
 
     def full_reduce(self):
@@ -125,36 +132,14 @@ class Echelon:
         """
         if self._reduced:
             return
-        F = self.field
+        p = self.p
         for c in sorted(self.pivot_rows, reverse=True):
             row = self.pivot_rows[c]
             hits = sorted(k for k in row if k != c and k in self.pivot_rows)
             for c2 in hits:
                 if c2 not in row:
                     continue
-                other = self.pivot_rows[c2]
-                if self.rational:
-                    a, b = row[c2], other[c2]
-                    g = gcd(a, b)
-                    fa, fb = b // g, a // g
-                    nxt = {k: fa * v for k, v in row.items()}
-                    for k, v in other.items():
-                        nv = nxt.get(k, 0) - fb * v
-                        if nv:
-                            nxt[k] = nv
-                        elif k in nxt:
-                            del nxt[k]
-                    row = _strip_content(nxt)
-                else:
-                    coeff = row[c2]
-                    nxt = dict(row)
-                    for k, v in other.items():
-                        nv = F.sub(nxt.get(k, F.zero), F.mul(coeff, v))
-                        if F.is_zero(nv):
-                            nxt.pop(k, None)
-                        else:
-                            nxt[k] = nv
-                    row = nxt
+                row = _primitive(_combine(row, self.pivot_rows[c2], c2, p)[0], p)
             self.pivot_rows[c] = row
         self._reduced = True
 
@@ -163,36 +148,40 @@ class Echelon:
 
         Returns ``(residue, coords)`` where ``vec = residue + sum
         coords[c] * pivot_row[c]`` and the residue has no support on pivot
-        columns.  Exact field arithmetic (Fractions over QQ).
+        columns.  Exact field scalars (Fractions over QQ): over QQ the work
+        is one integer row plus a running denominator.
         """
-        F = self.field
-        work = {k: F.coerce(v) for k, v in vec.items()}
-        work = {k: v for k, v in work.items() if not F.is_zero(v)}
+        p = self.p
+        work, den = self._int_row(vec)
         coords = {}
-        while True:
-            hits = [c for c in work if c in self.pivot_rows]
-            if not hits:
-                return work, coords
+        while hits := [c for c in work if c in self.pivot_rows]:
             c = min(hits)
-            row = self.pivot_rows[c]
-            coeff = F.div(work[c], F.coerce(row[c]))
-            coords[c] = F.add(coords.get(c, F.zero), coeff)
-            for k, v in row.items():
-                nv = F.sub(work.get(k, F.zero), F.mul(coeff, F.coerce(v)))
-                if F.is_zero(nv):
-                    work.pop(k, None)
-                else:
-                    work[k] = nv
+            work, fa, fb = _combine(work, self.pivot_rows[c], c, p)
+            coords[c] = fb if p else Fraction(fb, fa * den)
+            if fa != 1:  # over QQ only; keep work / den in lowest terms
+                den *= fa
+                g = gcd(den, *work.values())
+                if g != 1:
+                    den //= g
+                    work = {k: v // g for k, v in work.items()}
+        if p:
+            return work, coords
+        # entries of 1 reuse QQ.one, so tables of unit-vector residues hold no copies
+        return {k: QQ.one if v == den else Fraction(v, den)
+                for k, v in work.items()}, coords
 
     def contains(self, vec: dict) -> bool:
         residue, _ = self.reduce(vec)
         return not residue
 
 
-class Matrix:
-    """A sparse exact matrix; entries is {(i, j): scalar}."""
+_column = itemgetter(1)
 
-    __slots__ = ("nrows", "ncols", "entries", "field")
+
+class Matrix:
+    """A sparse exact matrix; entries is {(i, j): scalar}, set once in __init__."""
+
+    __slots__ = ("nrows", "ncols", "entries", "field", "_col_keys")
 
     def __init__(self, nrows: int, ncols: int, entries: dict, field=QQ):
         self.nrows = nrows
@@ -206,6 +195,7 @@ class Matrix:
                     raise IndexError(f"entry {(i, j)} outside {nrows}x{ncols}")
                 ent[(i, j)] = cv
         self.entries = ent
+        self._col_keys = None
 
     @classmethod
     def zeros(cls, nrows, ncols, field=QQ):
@@ -244,7 +234,14 @@ class Matrix:
         return out
 
     def col(self, j) -> dict:
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
+        """A copy of column ``j``, found by bisection in the keys, which are
+        sorted by column on first use (stably, so rows keep their order)."""
+        if self._col_keys is None:
+            self._col_keys = sorted(self.entries, key=_column)
+        keys, ent = self._col_keys, self.entries
+        lo = bisect_left(keys, j, key=_column)
+        hi = bisect_right(keys, j, lo, key=_column)
+        return {k[0]: ent[k] for k in keys[lo:hi]}
 
     def transpose(self) -> "Matrix":
         return Matrix(self.ncols, self.nrows,
@@ -349,7 +346,7 @@ class Matrix:
                 if f in row:
                     col[c] = F.div(F.neg(F.coerce(row[f])), F.coerce(row[c]))
             if isinstance(F, RationalField):
-                col = _normalize_int_row(col)
+                col = _primitive(_clear_denominators(col)[0])
                 col = {k: Fraction(v) for k, v in col.items()}
             cols.append(col)
         return Matrix.from_cols(cols, self.ncols, F)

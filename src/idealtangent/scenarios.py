@@ -29,6 +29,8 @@ _SCALAR_KEYS = {"task", "field", "nvars", "segre", "window", "p_range",
                 "q_range", "m", "weight", "arity_cap", "twist", "max_i",
                 "algebra", "d_max"}
 _BLOCK_KEYS = {"x_gens", "z_gens", "ci_gens"}
+#: smallest accepted value of the integer keys that have one
+_LEAST = {"nvars": 1, "weight": 1, "arity_cap": 2}
 
 
 @dataclass
@@ -76,7 +78,7 @@ def _algebra_from_spec(spec: tuple, field, at: tuple):
         if len(args) != 1:
             raise ValidationError(
                 f"{where}: {kind} expects one size, got {' '.join(args)!r}")
-        return sized[kind](_int(args[0], f"{kind} size", *at), field)
+        return sized[kind](_int(args[0], f"{kind} size", *at, least=1), field)
     if kind == "product":
         half = list(args)
         # product <kind> <arg> <kind> <arg>
@@ -98,12 +100,16 @@ def _intlist(value: str, key: str, lineno: int, col: int):
                               f"integers, got {value!r}") from None
 
 
-def _int(value: str, key: str, lineno: int, col: int) -> int:
+def _int(value: str, key: str, lineno: int, col: int, least=None) -> int:
     try:
-        return int(value)
+        n = int(value)
     except ValueError:
         raise ValidationError(f"line {lineno}, column {col}: {key} expects "
                               f"an integer, got {value!r}") from None
+    if least is not None and n < least:
+        raise ValidationError(f"line {lineno}, column {col}: {key} must be "
+                              f"at least {least}, got {n}")
+    return n
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -150,8 +156,6 @@ def parse_scenario(text: str) -> Scenario:
             sc.task = value
         elif key == "field":
             sc.field = field_from_spec(value)
-        elif key == "nvars":
-            sc.nvars = _int(value, key, lineno, col)
         elif key == "segre":
             pair = _intlist(value, key, lineno, col)
             if len(pair) != 2:
@@ -169,8 +173,9 @@ def parse_scenario(text: str) -> Scenario:
             sc.p_range = _intlist(value, key, lineno, col)
         elif key == "q_range":
             sc.q_range = _intlist(value, key, lineno, col)
-        elif key in ("m", "weight", "arity_cap", "twist", "max_i", "d_max"):
-            setattr(sc, key, _int(value, key, lineno, col))
+        elif key in ("nvars", "m", "weight", "arity_cap", "twist", "max_i",
+                     "d_max"):
+            setattr(sc, key, _int(value, key, lineno, col, _LEAST.get(key)))
         elif key == "algebra":
             sc.algebra_spec = tuple(value.split())
             sc.algebra_at = (lineno, col)

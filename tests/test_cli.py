@@ -82,7 +82,13 @@ def test_compare_mismatch_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("task,line", [("tangent", "m = one"),
-                                       ("harrison", "algebra = nilpotent x")])
+                                       ("harrison", "algebra = nilpotent x"),
+                                       ("tangent", "nvars = 0"),
+                                       ("truncate", "nvars = 0"),
+                                       ("operad", "arity_cap = 1"),
+                                       ("harrison", "weight = 0"),
+                                       ("harrison", "algebra = nilpotent -1"),
+                                       ("harrison", "algebra = zero 0")])
 def test_bad_integer_exits_1_without_traceback(tmp_path, task, line):
     bad = tmp_path / "bad.txt"
     bad.write_text(f"task = {task}\nnvars = 2\nwindow = 2 5\n{line}\n"

@@ -1,4 +1,5 @@
 """Exact linear algebra: worked examples plus randomized properties."""
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,9 @@ from idealtangent.fields import QQ, PrimeField
 from idealtangent.linalg import Echelon, Matrix, check_rank_consistency
 
 
-def dense_rank_reference(rows, ncols):
-    """Independent oracle: plain Gaussian elimination on Fractions."""
-    m = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
+def dense_rank_reference(rows, ncols, F=QQ):
+    """Independent oracle: plain dense Gaussian elimination in the field F."""
+    m = [[F.coerce(row.get(j, 0)) for j in range(ncols)] for row in rows]
     rank = 0
     col = 0
     nrows = len(m)
@@ -25,12 +26,12 @@ def dense_rank_reference(rows, ncols):
             col += 1
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [v * inv for v in m[rank]]
+        inv = F.div(F.one, m[rank][col])
+        m[rank] = [F.mul(v, inv) for v in m[rank]]
         for r in range(nrows):
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
+                m[r] = [F.sub(a, F.mul(f, b)) for a, b in zip(m[r], m[rank])]
         rank += 1
         col += 1
     return rank
@@ -136,3 +137,83 @@ def test_matrix_product_and_vec():
     assert ab.entries == {(0, 0): Fraction(5), (0, 1): Fraction(2),
                           (1, 0): Fraction(1), (1, 1): Fraction(1)}
     assert a.times_vec({0: 1, 1: 1}) == {0: Fraction(3), 1: Fraction(1)}
+
+
+# -- the elimination kernel, property-tested over QQ and two prime fields --
+
+kernel_fields = st.sampled_from([QQ, PrimeField(1000003), PrimeField(7)])
+# small rationals whose denominators are units in every field above
+scalars = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 1, 2, 3]))
+sparse_rows = st.integers(1, 7).flatmap(
+    lambda ncols: st.lists(
+        st.dictionaries(st.integers(0, ncols - 1), scalars, max_size=ncols),
+        min_size=1, max_size=7).map(lambda rows: (rows, ncols)))
+
+
+def echelon_of(rows, F):
+    ech = Echelon(F)
+    for row in rows:
+        ech.insert(row)
+    return ech
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields, sparse_rows)
+def test_echelon_rank_matches_dense_reference(F, rows_ncols):
+    rows, ncols = rows_ncols
+    ech = echelon_of(rows, F)
+    assert ech.rank == dense_rank_reference(rows, ncols, F)
+    ech.full_reduce()
+    assert ech.rank == dense_rank_reference(rows, ncols, F)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields, sparse_rows, st.booleans(),
+       st.dictionaries(st.integers(0, 6), scalars, max_size=7))
+def test_reduce_residue_and_coordinates_are_exact(F, rows_ncols, full, vec):
+    rows, _ = rows_ncols
+    ech = echelon_of(rows, F)
+    if full:
+        ech.full_reduce()
+    residue, coords = ech.reduce(vec)
+    assert not set(residue) & set(ech.pivot_rows)
+    assert all(not F.is_zero(v) for v in residue.values())
+    total = dict(residue)
+    for c, k in coords.items():
+        for j, v in ech.pivot_rows[c].items():
+            total[j] = F.add(total.get(j, F.zero), F.mul(k, F.coerce(v)))
+    want = {j: F.coerce(v) for j, v in vec.items() if not F.is_zero(F.coerce(v))}
+    assert {j: v for j, v in total.items() if not F.is_zero(v)} == want
+    assert ech.contains(vec) == (not residue)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields, sparse_rows, st.booleans())
+def test_pivot_rows_are_normalized(F, rows_ncols, full):
+    rows, _ = rows_ncols
+    ech = echelon_of(rows, F)
+    if full:
+        ech.full_reduce()
+    for c, row in ech.pivot_rows.items():
+        assert min(row) == c
+        assert all(type(v) is int and v != 0 for v in row.values())
+        if F == QQ:
+            assert row[c] > 0
+            assert math.gcd(*row.values()) == 1
+        else:
+            assert row[c] == 1
+            assert all(0 < v < F.p for v in row.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields, sparse_rows)
+def test_full_reduce_clears_other_pivots(F, rows_ncols):
+    rows, _ = rows_ncols
+    ech = echelon_of(rows, F)
+    before = {c: dict(row) for c, row in ech.pivot_rows.items()}
+    ech.full_reduce()
+    assert set(ech.pivot_rows) == set(before)
+    for c, row in ech.pivot_rows.items():
+        assert not (set(row) - {c}) & set(ech.pivot_rows)
+    for row in before.values():  # same row space
+        assert ech.contains(row)

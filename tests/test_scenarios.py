@@ -95,6 +95,12 @@ def test_algebra_specs():
     ("algebra = zero 1.5", 11),
     ("algebra = zero", 11),
     ("algebra = product nilpotent 2 zero q", 11),
+    ("nvars = 0", 9),
+    ("arity_cap = 1", 13),
+    ("weight = 0", 10),
+    ("algebra = nilpotent -1", 11),
+    ("algebra = zero 0", 11),
+    ("algebra = product nilpotent 2 zero 0", 11),
 ])
 def test_bad_integer_is_a_located_validation_error(line, column):
     with pytest.raises(ValidationError) as exc:
