@@ -4,10 +4,13 @@ Terms are indexed by (cohomological degree, internal degree); differentials
 raise the cohomological degree by one and preserve the internal degree.
 Every constructor verifies d∘d = 0 exactly -- this is the global assertion
 hook that polices sign conventions across the whole engine.
+
+A chain map f: S -> T is verified by the d∘d check of its mapping fiber and
+nowhere else.  The fiber's d∘d has the blocks d_S∘d_S, f∘d_S - d_T∘f and
+d_T∘d_T; S and T are complexes, checked when they were built, so the
+fiber's d∘d vanishes exactly when f commutes with the differentials.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import InternalCheckError
 from .fields import QQ
@@ -17,7 +20,7 @@ from .linalg import Echelon, Matrix
 class CochainComplex:
     """terms: {(i, j): dim}; diffs: {(i, j): Matrix term(i,j) -> term(i+1,j)}."""
 
-    def __init__(self, terms: dict, diffs: dict, field=QQ, check=True):
+    def __init__(self, terms: dict, diffs: dict, field=QQ):
         self.field = field
         self.terms = {k: int(d) for k, d in terms.items() if d}
         self.diffs = {}
@@ -26,8 +29,7 @@ class CochainComplex:
                 continue
             self.diffs[(i, j)] = m
         self._ranks: dict = {}
-        if check:
-            self._check()
+        self._check()
 
     def dim(self, i, j=0) -> int:
         return self.terms.get((i, j), 0)
@@ -47,7 +49,7 @@ class CochainComplex:
         for (i, j), m in self.diffs.items():
             nxt = self.diffs.get((i + 1, j))
             if nxt is not None and not nxt.mul(m).is_zero():
-                raise InternalCheckError(f"d∘d != 0 at {(i, j)}")
+                raise InternalCheckError(f"d∘d != 0 at {(i, j)}", (i, j))
 
     def rank(self, i, j=0) -> int:
         """Rank of the differential at (i, j); each is ranked at most once."""
@@ -77,36 +79,34 @@ class CochainComplex:
         return sum((-1) ** i * d for (i, jj), d in self.terms.items() if jj == j)
 
 
-@dataclass
 class ChainMap:
-    """A map of cochain complexes; components: {(i, j): Matrix src -> tgt}."""
+    """A map of cochain complexes; components: {(i, j): Matrix src -> tgt}.
 
-    source: CochainComplex
-    target: CochainComplex
-    components: dict
-    check: bool = True
+    Absent components are zero.  Building a ChainMap builds its mapping
+    fiber, kept as ``fiber``, and that fiber's d∘d check is the chain-map
+    check: its block S^i -> T^{i+1} is f_{i+1}∘d_S - d_T∘f_i, and its other
+    two blocks are d∘d of the source and of the target, which are zero.
+    """
 
-    def __post_init__(self):
-        if self.check:
-            self.verify()
-
-    def component(self, i, j=0) -> Matrix:
-        m = self.components.get((i, j))
-        if m is not None:
-            return m
-        return Matrix.zeros(self.target.dim(i, j), self.source.dim(i, j),
-                            self.source.field)
+    def __init__(self, source: CochainComplex, target: CochainComplex,
+                 components: dict):
+        self.source = source
+        self.target = target
+        self.components = components
+        self.verify()
 
     def verify(self):
-        keys = set(self.source.terms) | set(self.target.terms)
-        for (i, j) in keys:
-            f_i = self.component(i, j)
-            if f_i.ncols != self.source.dim(i, j) or f_i.nrows != self.target.dim(i, j):
+        S, T = self.source, self.target
+        for (i, j), m in self.components.items():
+            if m.ncols != S.dim(i, j) or m.nrows != T.dim(i, j):
                 raise InternalCheckError(f"chain map component at {(i, j)} has bad shape")
-            lhs = self.target.diff(i, j).mul(f_i)
-            rhs = self.component(i + 1, j).mul(self.source.diff(i, j))
-            if not lhs.sub(rhs).is_zero():
-                raise InternalCheckError(f"not a chain map at {(i, j)}")
+        try:
+            self.fiber = mapping_fiber(self)
+        except InternalCheckError as err:
+            # fiber index i is chain-map index i
+            raise InternalCheckError(
+                f"not a chain map: f∘d_S != d_T∘f at {err.index}",
+                err.index) from err
 
 
 def mapping_fiber(f: ChainMap) -> CochainComplex:
@@ -118,25 +118,25 @@ def mapping_fiber(f: ChainMap) -> CochainComplex:
     """
     S, T = f.source, f.target
     field = S.field
-    keys = set(S.terms) | {(i + 1, j) for (i, j) in T.terms}
-    terms = {}
-    for (i, j) in keys:
-        d = S.dim(i, j) + T.dim(i - 1, j)
-        if d:
-            terms[(i, j)] = d
+    neg = field.neg
+    terms = {(i, j): S.dim(i, j) + T.dim(i - 1, j)
+             for (i, j) in set(S.terms) | {(i + 1, j) for (i, j) in T.terms}}
     diffs = {}
     for (i, j) in terms:
-        ns, nt = S.dim(i, j), T.dim(i - 1, j)
-        rs, rt = S.dim(i + 1, j), T.dim(i, j)
-        if rs + rt == 0 or ns + nt == 0:
-            continue
+        rs, ns = S.dim(i + 1, j), S.dim(i, j)
         ent = {}
-        for (a, b), v in S.diff(i, j).entries.items():
-            ent[(a, b)] = v
-        for (a, b), v in f.component(i, j).entries.items():
-            ent[(rs + a, b)] = v
-        neg = field.neg
-        for (a, b), v in T.diff(i - 1, j).entries.items():
-            ent[(rs + a, ns + b)] = neg(v)
-        diffs[(i, j)] = Matrix(rs + rt, ns + nt, ent, field)
+        d_s = S.diffs.get((i, j))
+        if d_s is not None:
+            ent.update(d_s.entries)
+        f_i = f.components.get((i, j))
+        if f_i is not None:
+            for (a, b), v in f_i.entries.items():
+                ent[(rs + a, b)] = v
+        d_t = T.diffs.get((i - 1, j))
+        if d_t is not None:
+            for (a, b), v in d_t.entries.items():
+                ent[(rs + a, ns + b)] = neg(v)
+        if ent:
+            diffs[(i, j)] = Matrix(rs + T.dim(i, j), ns + T.dim(i - 1, j),
+                                   ent, field)
     return CochainComplex(terms, diffs, field)

@@ -32,3 +32,7 @@ class BudgetError(IdealTangentError):
 
 class InternalCheckError(IdealTangentError):
     """An exact internal assertion failed (d*d != 0 class of bugs)."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index

@@ -62,14 +62,16 @@ def _shuffles(p: int, n: int) -> tuple:
 
 
 def _orderings(multiset: tuple) -> list:
+    """The distinct orderings of a multiset, sorted: each distinct value
+    leads once, in increasing order, so no ordering is built twice."""
     if len(multiset) <= 1:
         return [tuple(multiset)]
-    out = set()
-    for i, v in enumerate(multiset):
+    out = []
+    for v in sorted(set(multiset)):
+        i = multiset.index(v)
         rest = multiset[:i] + multiset[i + 1:]
-        for tail in _orderings(rest):
-            out.add((v,) + tail)
-    return sorted(out)
+        out.extend((v,) + tail for tail in _orderings(rest))
+    return out
 
 
 class ShuffleBlock:

@@ -259,25 +259,11 @@ class Matrix:
     def __hash__(self):
         raise TypeError("Matrix is not hashable")
 
-    def add(self, other) -> "Matrix":
-        F = self.field
-        ent = dict(self.entries)
-        for k, v in other.entries.items():
-            nv = F.add(ent.get(k, F.zero), v)
-            if F.is_zero(nv):
-                ent.pop(k, None)
-            else:
-                ent[k] = nv
-        return Matrix(self.nrows, self.ncols, ent, F)
-
     def scale(self, c) -> "Matrix":
         F = self.field
         c = F.coerce(c)
         return Matrix(self.nrows, self.ncols,
                       {k: F.mul(c, v) for k, v in self.entries.items()}, F)
-
-    def sub(self, other) -> "Matrix":
-        return self.add(other.scale(self.field.neg(self.field.one)))
 
     def mul(self, other) -> "Matrix":
         if self.ncols != other.nrows:

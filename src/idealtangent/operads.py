@@ -110,16 +110,15 @@ class SModule:
             for k, m in enumerate(mats):
                 if m.nrows != dim or m.ncols != dim:
                     raise InternalCheckError(f"arity {n}: bad action shape")
-                if not m.mul(m).sub(ident).is_zero():
+                if m.mul(m) != ident:
                     raise InternalCheckError(f"s_{k}^2 != 1 at arity {n}")
             for k in range(len(mats) - 1):
                 a, b = mats[k], mats[k + 1]
-                if not a.mul(b).mul(a).sub(b.mul(a).mul(b)).is_zero():
+                if a.mul(b).mul(a) != b.mul(a).mul(b):
                     raise InternalCheckError(f"braid relation fails at arity {n}")
             for k in range(len(mats)):
                 for l in range(k + 2, len(mats)):
-                    if not mats[k].mul(mats[l]).sub(
-                            mats[l].mul(mats[k])).is_zero():
+                    if mats[k].mul(mats[l]) != mats[l].mul(mats[k]):
                         raise InternalCheckError(
                             f"distant transpositions fail to commute at arity {n}")
 

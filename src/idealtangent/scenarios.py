@@ -30,7 +30,7 @@ _SCALAR_KEYS = {"task", "field", "nvars", "segre", "window", "p_range",
                 "algebra", "d_max"}
 _BLOCK_KEYS = {"x_gens", "z_gens", "ci_gens"}
 #: smallest accepted value of the integer keys that have one
-_LEAST = {"nvars": 1, "weight": 1, "arity_cap": 2}
+_LEAST = {"nvars": 1, "weight": 1, "arity_cap": 2, "max_i": 0, "d_max": 0}
 
 
 @dataclass
@@ -158,9 +158,10 @@ def parse_scenario(text: str) -> Scenario:
             sc.field = field_from_spec(value)
         elif key == "segre":
             pair = _intlist(value, key, lineno, col)
-            if len(pair) != 2:
+            if len(pair) != 2 or min(pair) < 0:
                 raise ValidationError(
-                    f"line {lineno}, column 1: segre expects two dimensions")
+                    f"line {lineno}, column {col}: segre expects two "
+                    f"dimensions, each at least 0, got {value!r}")
             sc.segre = pair
         elif key == "window":
             pair = _intlist(value, key, lineno, col)

@@ -9,7 +9,8 @@ where rder is the internal-degree-0 slice of a Harrison complex, turned
 into a cochain complex by `HarrisonComplex.cochain_complex` (degree =
 weight - 1, so H^0 = derivations).  Each of the two Harrison complexes is
 built once and serves both its cochain complex and the restriction map
-between them.  The i-th tangent cohomology is
+between them, and one fiber is built per solve: the one whose d∘d check
+verifies the restriction as a chain map.  The i-th tangent cohomology is
 H^{i+1} of the fiber; the shift is calibrated by the bootstrap cases
 (zero ideal => everything vanishes; points on a line => H^0 = number of
 points), which the test suite pins down.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .complexes import ChainMap, mapping_fiber
+from .complexes import ChainMap
 from .errors import BudgetError, ValidationError
 from .fields import QQ
 from .graded import (AlgebraModule, FiniteGradedAlgebra, HomIdealPresentation,
@@ -143,7 +144,7 @@ def derived_tangent(algebra: FiniteGradedAlgebra, ideal: IdealPoint, m: int,
     source = hc_s.cochain_complex()
     target = hc_t.cochain_complex()
     comps = _pullback_components(quotient, hc_s, hc_t, top_t)
-    fiber = mapping_fiber(ChainMap(source, target, comps))
+    fiber = ChainMap(source, target, comps).fiber
     dims = [fiber.cohomology(i + 1) for i in range(m + 1)]
     euler = None
     if source.dim(top_s - 1) == 0 and target.dim(top_t - 1) == 0:

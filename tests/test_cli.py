@@ -88,7 +88,13 @@ def test_compare_mismatch_exits_3(tmp_path, capsys):
                                        ("operad", "arity_cap = 1"),
                                        ("harrison", "weight = 0"),
                                        ("harrison", "algebra = nilpotent -1"),
-                                       ("harrison", "algebra = zero 0")])
+                                       ("harrison", "algebra = zero 0"),
+                                       ("rmap", "segre = -2 0"),
+                                       ("tangent", "segre = -1 -1"),
+                                       ("tangent", "segre = 1 -1"),
+                                       ("rmap", "segre = -3 -3"),
+                                       ("oracle", "max_i = -3"),
+                                       ("truncate", "d_max = -1")])
 def test_bad_integer_exits_1_without_traceback(tmp_path, task, line):
     bad = tmp_path / "bad.txt"
     bad.write_text(f"task = {task}\nnvars = 2\nwindow = 2 5\n{line}\n"

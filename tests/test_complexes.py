@@ -2,12 +2,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from idealtangent import complexes
 from idealtangent.complexes import ChainMap, CochainComplex, mapping_fiber
 from idealtangent.errors import InternalCheckError
-from idealtangent.fields import QQ
+from idealtangent.fields import QQ, PrimeField
+from idealtangent.graded import HomIdealPresentation
 from idealtangent.linalg import Matrix
 from idealtangent.polynomials import count_monomials, mono_mul, monomials_of_degree
+from idealtangent.tangent import tangent_at_subscheme
 
 
 def test_two_term_identity_acyclic():
@@ -113,8 +118,11 @@ def test_mapping_fiber_of_surjective_qis_acyclic():
 def test_non_chain_map_rejected():
     s = CochainComplex({(0, 0): 1, (1, 0): 1}, {(0, 0): Matrix.identity(1)})
     t = CochainComplex({(0, 0): 1, (1, 0): 1}, {})
-    with pytest.raises(InternalCheckError):
+    # f_1∘d_S = 1 but d_T∘f_0 = 0
+    with pytest.raises(InternalCheckError,
+                       match=r"^not a chain map: .* at \(0, 0\)$") as exc:
         ChainMap(s, t, {(0, 0): Matrix.identity(1), (1, 0): Matrix.identity(1)})
+    assert exc.value.index == (0, 0)
 
 
 def test_cohomology_representatives():
@@ -144,3 +152,100 @@ def test_each_differential_is_ranked_once(monkeypatch):
     assert chi == c.euler_characteristic(3) == 0
     assert sorted(ranked) == sorted(id(m) for m in c.diffs.values())
     assert c.rank(5, 3) == 0 and len(ranked) == 2   # absent differential
+
+
+def _random_matrix(data, F, nrows, ncols):
+    vals = data.draw(st.lists(st.sampled_from([0, 1, -1, 2, 3]),
+                              min_size=nrows * ncols, max_size=nrows * ncols))
+    return Matrix(nrows, ncols, {(a, b): vals[a * ncols + b]
+                                 for a in range(nrows) for b in range(ncols)}, F)
+
+
+def _random_complex(data, F, length):
+    """A random complex in degrees 0..length-1 (two or three terms); the
+    second differential is a random map out of the cokernel of the first."""
+    dims = data.draw(st.lists(st.sampled_from([0, 1, 2, 2, 3, 3]),
+                              min_size=length, max_size=length))
+    diffs = {(0, 0): _random_matrix(data, F, dims[1], dims[0])}
+    if length == 3:
+        left_kernel = diffs[(0, 0)].transpose().kernel_basis()
+        coeffs = _random_matrix(data, F, dims[2], left_kernel.ncols)
+        diffs[(1, 0)] = coeffs.mul(left_kernel.transpose())
+    return CochainComplex({(i, 0): n for i, n in enumerate(dims)}, diffs, F)
+
+
+def _plus(a, b):
+    F = a.field
+    ent = dict(a.entries)
+    for k, v in b.entries.items():
+        ent[k] = F.add(ent.get(k, F.zero), v)
+    return Matrix(a.nrows, a.ncols, ent, F)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(7)]), st.integers(2, 3), st.data())
+def test_chain_map_accepted_exactly_when_it_commutes(F, length, data):
+    S = _random_complex(data, F, length)
+    T = _random_complex(data, F, length)
+    # f = d_T∘h + h∘d_S is null-homotopic, so a chain map; h_i: S^i -> T^{i-1}
+    h = {i: _random_matrix(data, F, T.dim(i - 1), S.dim(i))
+         for i in range(length + 1)}
+    comps = {(i, 0): _plus(T.diff(i - 1).mul(h[i]), h[i + 1].mul(S.diff(i)))
+             for i in range(length)}
+    perturbable = [i for i in range(length) if S.dim(i) and T.dim(i)]
+    if perturbable and data.draw(st.integers(0, 3)):
+        # mostly: add one nonzero entry to one component
+        i = data.draw(st.sampled_from(perturbable))
+        a = data.draw(st.integers(0, T.dim(i) - 1))
+        b = data.draw(st.integers(0, S.dim(i) - 1))
+        comps[(i, 0)] = _plus(comps[(i, 0)],
+                              Matrix(T.dim(i), S.dim(i), {(a, b): 1}, F))
+
+    def f(i):
+        return comps.get((i, 0), Matrix.zeros(T.dim(i), S.dim(i), F))
+
+    failing = {(i, 0) for i in range(-1, length + 1)
+               if f(i + 1).mul(S.diff(i)) != T.diff(i).mul(f(i))}
+    if not failing:
+        fiber = ChainMap(S, T, comps).fiber
+        assert fiber.euler_characteristic() == (S.euler_characteristic()
+                                                - T.euler_characteristic())
+        return
+    with pytest.raises(InternalCheckError) as exc:
+        ChainMap(S, T, comps)
+    assert str(exc.value).startswith("not a chain map")
+    assert exc.value.index in failing
+    assert str(exc.value).endswith(f"at {exc.value.index}")
+
+
+def test_tangent_solve_forms_each_check_product_once(monkeypatch):
+    """One solve multiplies each pair of consecutive differentials of the
+    source, the target and the one fiber once, and multiplies nothing else."""
+    products, chain_maps, fibers = [], [], []
+    mul, verify, fiber = Matrix.mul, ChainMap.verify, complexes.mapping_fiber
+
+    def counting_mul(a, b):
+        products.append((id(a), id(b)))
+        return mul(a, b)
+
+    def recording_verify(self):
+        chain_maps.append(self)
+        verify(self)
+
+    def counting_fiber(f):
+        fibers.append(f)
+        return fiber(f)
+
+    monkeypatch.setattr(Matrix, "mul", counting_mul)
+    monkeypatch.setattr(ChainMap, "verify", recording_verify)
+    monkeypatch.setattr(complexes, "mapping_fiber", counting_fiber)
+    p2 = HomIdealPresentation.from_strings(3, [])
+    conic = HomIdealPresentation.from_strings(3, ["x0^2 - x1*x2"])
+    rep = tangent_at_subscheme(p2, conic, 2, 5, 1, PrimeField(1000003))
+    assert rep.dims[0] == 5
+    assert len(chain_maps) == 1 and fibers == chain_maps
+    cm = chain_maps[0]
+    expected = [(id(c.diffs[(i + 1, j)]), id(m))
+                for c in (cm.source, cm.target, cm.fiber)
+                for (i, j), m in c.diffs.items() if (i + 1, j) in c.diffs]
+    assert expected and sorted(products) == sorted(expected)

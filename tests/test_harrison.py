@@ -7,7 +7,7 @@ Independent oracles used here:
   * hand degree-counts for windowed slices.
 """
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -16,8 +16,8 @@ from idealtangent.fields import QQ, PrimeField
 from idealtangent.graded import (AlgebraModule, HomIdealPresentation,
                                  coordinate_ring_truncation, nilpotent_algebra,
                                  product_algebra, zero_multiplication_algebra)
-from idealtangent.harrison import (HarrisonComplex, harrison_cohomology,
-                                   module_via_homomorphism)
+from idealtangent.harrison import (HarrisonComplex, _orderings,
+                                   harrison_cohomology, module_via_homomorphism)
 from idealtangent.linalg import Matrix
 
 
@@ -279,3 +279,16 @@ def test_compressed_and_full_differentials_agree():
                         if v:
                             expected[dst.coord(b_idx, std_pos, mm)] = v
             assert expected == dmat.col(j), (n, j)
+
+
+@pytest.mark.parametrize("multiset", [(), (4,), (0, 0, 1), (2, 0, 1, 0),
+                                      (1, 1, 2, 2), (3, 1, 3, 1, 0, 2)])
+def test_orderings_are_the_sorted_distinct_permutations(multiset):
+    assert _orderings(multiset) == sorted(set(permutations(multiset)))
+
+
+def test_orderings_of_a_repeated_multiset_are_not_enumerated_by_permutation():
+    # 10! permutations, one distinct ordering
+    assert _orderings((0,) * 10) == [(0,) * 10]
+    assert _orderings((0,) * 9 + (1,)) == sorted((0,) * k + (1,) + (0,) * (9 - k)
+                                                 for k in range(10))

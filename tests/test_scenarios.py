@@ -101,6 +101,13 @@ def test_algebra_specs():
     ("algebra = nilpotent -1", 11),
     ("algebra = zero 0", 11),
     ("algebra = product nilpotent 2 zero 0", 11),
+    ("segre = -2 0", 9),
+    ("segre = -1 -1", 9),
+    ("segre = 1 -1", 9),
+    ("segre = -3 -3", 9),
+    ("segre = 1", 9),
+    ("max_i = -3", 9),
+    ("d_max = -1", 9),
 ])
 def test_bad_integer_is_a_located_validation_error(line, column):
     with pytest.raises(ValidationError) as exc:
