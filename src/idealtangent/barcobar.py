@@ -235,25 +235,34 @@ class BarCom:
 
     def homology_dims(self, n) -> dict:
         """Cohomology of (Bar(Com)(n), edge contraction) by degree."""
-        basis = self.bases[n]
-        by_degree = {}
-        for i, el in enumerate(basis.elements):
-            by_degree.setdefault(basis.degree(el), []).append(i)
-        degs = sorted(by_degree)
-        terms = {(d, 0): len(by_degree[d]) for d in degs}
-        diffs = {}
-        for d in degs:
-            if (d + 1, 0) not in terms:
-                continue
-            rows = {i: r for r, i in enumerate(by_degree[d + 1])}
-            entries = {}
-            for cix, i in enumerate(by_degree[d]):
-                for j, v in self.internal_column(n, i).items():
-                    entries[(rows[j], cix)] = v
-            diffs[(d, 0)] = Matrix(len(by_degree[d + 1]), len(by_degree[d]),
-                                   entries, self.field)
-        cplx = CochainComplex(terms, diffs, self.field)
-        return {d: cplx.cohomology(d, 0) for d in degs}
+        cplx = _graded_complex(self.bases[n], self._contractions, self.field)
+        return {d: cplx.cohomology(d) for (d, _) in cplx.terms}
+
+
+def _graded_complex(basis: TreeBasis, image, field) -> CochainComplex:
+    """The complex on ``basis`` graded by tree degree, one term per degree
+    in increasing order; ``image(el)`` is the differential of the basis
+    element ``el`` as {basis element: coefficient}, of degree one more."""
+    by_degree = {}
+    for i, el in enumerate(basis.elements):
+        by_degree.setdefault(basis.degree(el), []).append(i)
+    degs = sorted(by_degree)
+    diffs = {}
+    for d in degs:
+        if d + 1 not in by_degree:
+            continue
+        rows = {i: r for r, i in enumerate(by_degree[d + 1])}
+        entries = {}
+        for cix, i in enumerate(by_degree[d]):
+            for el, v in image(basis.elements[i]).items():
+                j = basis.index.get(el)
+                if j is None:
+                    raise InternalCheckError(
+                        "differential left the arity-capped basis")
+                entries[(rows[j], cix)] = v
+        diffs[(d, 0)] = Matrix(len(by_degree[d + 1]), len(by_degree[d]),
+                               entries, field)
+    return CochainComplex({(d, 0): len(by_degree[d]) for d in degs}, diffs, field)
 
 
 def _replace(shape, old, new):
@@ -329,33 +338,10 @@ class CobarOperad:
         return out
 
     def complex(self, n) -> CochainComplex:
-        if n in self._complexes:
-            return self._complexes[n]
-        basis = self.bases[n]
-        by_degree = {}
-        for i, el in enumerate(basis.elements):
-            by_degree.setdefault(basis.degree(el), []).append(i)
-        degs = sorted(by_degree)
-        terms = {(d, 0): len(by_degree[d]) for d in degs}
-        diffs = {}
-        for d in degs:
-            if (d + 1, 0) not in terms:
-                continue
-            rows = {i: r for r, i in enumerate(by_degree[d + 1])}
-            entries = {}
-            for cix, i in enumerate(by_degree[d]):
-                img = self._deriv.of_basis(basis.elements[i])
-                for el2, v in img.items():
-                    j = basis.index.get(el2)
-                    if j is None:
-                        raise InternalCheckError(
-                            "differential left the arity-capped basis")
-                    entries[(rows[j], cix)] = v
-            diffs[(d, 0)] = Matrix(len(by_degree[d + 1]), len(by_degree[d]),
-                                   entries, self.field)
-        cplx = CochainComplex(terms, diffs, self.field)
-        self._complexes[n] = cplx
-        return cplx
+        if n not in self._complexes:
+            self._complexes[n] = _graded_complex(
+                self.bases[n], self._deriv.of_basis, self.field)
+        return self._complexes[n]
 
     def cohomology_profile(self, n) -> dict:
         cplx = self.complex(n)

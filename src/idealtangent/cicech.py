@@ -70,7 +70,11 @@ def _laurent_sections(nvars: int, chart: tuple, total: int, floor: int):
 
 def _koszul_exactness_probe(ci: CIData, degrees_probed, field=QQ):
     """Check the algebraic Koszul complex on the forms is exact away from
-    the end in the probed internal degrees; raise otherwise."""
+    the end in the probed internal degrees; raise otherwise.
+
+    K_r sits in cohomological degree -r, so Koszul homology at step r is
+    H^{-r} of that ``CochainComplex``.
+    """
     c = len(ci.forms)
     if c == 0:
         return
@@ -99,7 +103,7 @@ def _koszul_exactness_probe(ci: CIData, degrees_probed, field=QQ):
                     k += 1
             index[r] = idx
             dims[r] = k
-        mats = {}
+        diffs = {}
         for r in range(1, c + 1):
             entries = {}
             for (subset, m), col in index[r].items():
@@ -111,15 +115,13 @@ def _koszul_exactness_probe(ci: CIData, degrees_probed, field=QQ):
                         row = index[r - 1].get(key)
                         if row is None:
                             raise ValidationError("Koszul bookkeeping error")
-                        entries[(row, col)] = field.coerce(fc * sign) \
-                            if not entries.get((row, col)) else field.add(
-                                entries[(row, col)], field.coerce(fc * sign))
-            mats[r] = Matrix(dims[r - 1], dims[r], entries, field)
+                        entries[(row, col)] = field.add(
+                            entries.get((row, col), field.zero),
+                            field.coerce(fc * sign))
+            diffs[(-r, 0)] = Matrix(dims[r - 1], dims[r], entries, field)
+        koszul = CochainComplex({(-r, 0): n for r, n in dims.items()}, diffs, field)
         for r in range(1, c):
-            rank_in = mats[r + 1].rank()
-            dim_mid = dims[r]
-            rank_out = mats[r].rank()
-            if dim_mid - rank_out != rank_in:
+            if koszul.cohomology(-r):
                 raise ValidationError(
                     f"not a regular sequence: Koszul homology at step {r}, "
                     f"internal degree {t}")
@@ -167,7 +169,8 @@ def _total_complex(ci: CIData, e: int, floor: int, field=QQ) -> CochainComplex:
                 sign = (-1) ** nchart.index(j)
                 row = dst.get((r, subset, nchart, mono))
                 if row is not None:
-                    _acc(entries, row, col, field.coerce(sign), field)
+                    entries[(row, col)] = field.add(
+                        entries.get((row, col), field.zero), field.coerce(sign))
             # Koszul differential, with the sign twisted by the Cech level
             ksign = (-1) ** s
             for pos2, j in enumerate(subset):
@@ -176,31 +179,23 @@ def _total_complex(ci: CIData, e: int, floor: int, field=QQ) -> CochainComplex:
                 for fm, fc in ci.forms[j].coeffs.items():
                     row = dst.get((r - 1, rest, chart, mono_mul(mono, fm)))
                     if row is not None:
-                        _acc(entries, row, col, field.coerce(fc * sign), field)
+                        entries[(row, col)] = field.add(
+                            entries.get((row, col), field.zero),
+                            field.coerce(fc * sign))
         diffs[(k, 0)] = Matrix(dims[k + 1], dims[k], entries, field)
     terms = {(k, 0): d for k, d in dims.items()}
     return CochainComplex(terms, diffs, field)
 
 
-def _acc(entries, row, col, val, field):
-    cur = entries.get((row, col))
-    nv = field.add(cur, val) if cur is not None else val
-    if field.is_zero(nv):
-        entries.pop((row, col), None)
-    else:
-        entries[(row, col)] = nv
-
-
-def ci_twist_cohomology(ci: CIData, e: int, i: int, field=QQ,
-                        check_regular=True) -> int:
+def ci_twist_cohomology(ci: CIData, e: int, i: int, field=QQ) -> int:
     """dim H^i(Z, O_Z(e)), exactly; read from the twist's profile."""
     if i < 0 or i > ci.n:
         return 0
-    return _twist_profile(ci, e, field, check_regular)[i]
+    return _twist_profile(ci, e, field)[i]
 
 
 @lru_cache(maxsize=None)
-def _twist_profile(ci: CIData, e: int, field, check_regular: bool) -> tuple:
+def _twist_profile(ci: CIData, e: int, field) -> tuple:
     """(h^0, ..., h^n)(Z, O_Z(e)) from one total complex.
 
     The exponent floor is chosen from the twists in play; the profile is
@@ -210,7 +205,7 @@ def _twist_profile(ci: CIData, e: int, field, check_regular: bool) -> tuple:
     degs = ci.degrees
     twists = [e] + [e - sum(sub) for r in range(1, len(degs) + 1)
                     for sub in combinations(degs, r)]
-    if check_regular and ci.forms:
+    if ci.forms:
         probe_degrees = sorted({t for t in twists if t >= 0} |
                                {sum(degs), sum(degs) + 1})
         _koszul_exactness_probe(ci, probe_degrees, field)

@@ -3,7 +3,9 @@
 Covers degree pieces of polynomial rings, homogeneous-ideal pieces by row
 reduction over monomial multiples (no Groebner machinery anywhere), the
 truncated coordinate rings of projective schemes, Hilbert functions with
-exact polynomial fitting, and Veronese re-gradings.
+exact polynomial fitting, and Veronese re-gradings.  The basis of each
+truncated piece A_d = S_d / I_d is chosen by ``linalg.Quotient``, the one
+place any quotient basis in the engine is chosen.
 
 An "ungraded" toy algebra is the single-degree case: everything sits in
 degree 0 and 0+0=0 keeps all products in the window, so one code path
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 from .errors import InternalCheckError, ValidationError
 from .fields import QQ
-from .linalg import Echelon, Matrix
+from .linalg import Echelon, Matrix, Quotient
 from .polynomials import (count_monomials, mono_mul, mono_str,
                           monomials_of_degree, parse_homogeneous)
 
@@ -38,33 +40,10 @@ class HomIdealPresentation:
         return self.nvars - 1
 
 
-class SubspaceBasis:
-    """A subspace of a coordinate space, held as canonical RREF rows."""
-
-    def __init__(self, ambient_dim: int, ech: Echelon):
-        ech.full_reduce()
-        self.ambient_dim = ambient_dim
-        self.echelon = ech
-
-    @property
-    def dim(self) -> int:
-        return self.echelon.rank
-
-    @property
-    def pivots(self) -> list[int]:
-        return self.echelon.pivots
-
-    def basis_rows(self) -> list[dict]:
-        return [self.echelon.pivot_rows[c] for c in self.echelon.pivots]
-
-    def contains(self, vec: dict) -> bool:
-        return self.echelon.contains(vec)
-
-
-def ideal_degree_piece(pres: HomIdealPresentation, d: int, field=QQ) -> SubspaceBasis:
-    """Basis of the degree-d piece of the ideal, inside the monomial basis
-    of the full degree-d polynomial space, by row reduction of monomial
-    multiples of the generators."""
+def ideal_degree_piece(pres: HomIdealPresentation, d: int, field=QQ) -> Echelon:
+    """The degree-d piece of the ideal as canonical RREF rows, inside the
+    monomial basis of the full degree-d polynomial space, by row reduction
+    of monomial multiples of the generators."""
     if d < 0:
         raise ValidationError("degree must be nonnegative")
     basis = monomials_of_degree(pres.nvars, d)
@@ -79,7 +58,8 @@ def ideal_degree_piece(pres: HomIdealPresentation, d: int, field=QQ) -> Subspace
             for gm, c in g.coeffs.items():
                 row[index[mono_mul(m, gm)]] = field.coerce(c)
             ech.insert(row)
-    return SubspaceBasis(len(basis), ech)
+    ech.full_reduce()
+    return ech
 
 
 def _bilinear(tables: dict, dims: dict, F, i: int, va, j: int, vb) -> dict:
@@ -243,8 +223,9 @@ class AlgebraModule:
 class TruncatedCoordinateRing:
     """The degrees-p-through-q quotient of the homogeneous coordinate ring.
 
-    Quotient bases are the non-pivot monomials of the row-reduced ideal
-    piece (deterministic given the lex order), so reports are reproducible.
+    ``quotients[d]`` is the ``Quotient`` of the degree-d monomials by the
+    ideal piece; its basis, the non-pivot monomials in lex order, is the
+    basis of A_d, so reports are reproducible.
     """
 
     def __init__(self, presentation: HomIdealPresentation, p: int, q: int, field=QQ):
@@ -254,21 +235,17 @@ class TruncatedCoordinateRing:
         self.p, self.q = p, q
         self.field = field
         self.monomials = {}
-        self.ideal_pieces = {}
+        self.quotients = {}
         self.quotient_monomials = {}
-        self._col_to_idx = {}
         dims, labels = {}, {}
         for d in range(p, q + 1):
             basis = monomials_of_degree(presentation.nvars, d)
-            piece = ideal_degree_piece(presentation, d, field)
-            pivots = set(piece.pivots)
-            qmono = [m for i, m in enumerate(basis) if i not in pivots]
+            quo = Quotient(ideal_degree_piece(presentation, d, field), len(basis))
+            qmono = [basis[c] for c in quo.basis]
             self.monomials[d] = basis
-            self.ideal_pieces[d] = piece
+            self.quotients[d] = quo
             self.quotient_monomials[d] = qmono
-            self._col_to_idx[d] = {i: k for k, i in enumerate(
-                i for i in range(len(basis)) if i not in pivots)}
-            dims[d] = len(qmono)
+            dims[d] = quo.dim
             labels[d] = [mono_str(m) for m in qmono]
         mult = {}
         for i in range(p, q + 1):
@@ -280,18 +257,16 @@ class TruncatedCoordinateRing:
 
     def _build_mult(self, i, j, dims):
         target = i + j
-        basis_t = monomials_of_degree(self.presentation.nvars, target)
-        index_t = {m: k for k, m in enumerate(basis_t)}
-        ech = self.ideal_pieces[target].echelon
-        remap = self._col_to_idx[target]
+        index_t = {m: k for k, m in enumerate(self.monomials[target])}
+        quo = self.quotients[target]
+        one = self.field.one
         entries = {}
         nb = dims[j]
         for a, ma in enumerate(self.quotient_monomials[i]):
             for b, mb in enumerate(self.quotient_monomials[j]):
-                prod = mono_mul(ma, mb)
-                residue, _ = ech.reduce({index_t[prod]: self.field.one})
-                for col, v in residue.items():
-                    entries[(remap[col], a * nb + b)] = v
+                prod = quo.project({index_t[mono_mul(ma, mb)]: one})
+                for r, v in prod.items():
+                    entries[(r, a * nb + b)] = v
         return Matrix(dims[target], dims[i] * dims[j], entries, self.field)
 
 
@@ -349,8 +324,8 @@ def hilbert_data(presentation: HomIdealPresentation, d_max: int, field=QQ) -> Hi
     n = presentation.projective_dim
     values = {}
     for d in range(d_max + 1):
-        piece = ideal_degree_piece(presentation, d, field)
-        values[d] = count_monomials(presentation.nvars, d) - piece.dim
+        values[d] = (count_monomials(presentation.nvars, d)
+                     - ideal_degree_piece(presentation, d, field).rank)
     for deg in range(n + 1):
         if d_max < deg + 2:
             break

@@ -8,11 +8,12 @@ the shuffle sign is the plain permutation sign; the internal grading
 contributes no signs.
 
 Everything is stored in compressed coordinates: a weight-n cochain is
-determined by its values on the "standard tuples" (non-pivot columns of
-the row-reduced shuffle span, computed per orbit of degree compositions
-and per target degree), and values at arbitrary argument tuples are
-recovered by reducing the tuple modulo the shuffle span.  This keeps the
-windowed internal-degree-0 slices small enough for exact arithmetic.
+determined by its values on the "standard tuples", the basis that
+``linalg.Quotient`` chooses for the tuples modulo the shuffle span (one
+per orbit of degree compositions and per target degree), and values at
+arbitrary argument tuples are recovered by projecting the tuple onto
+that basis.  This keeps the windowed internal-degree-0 slices small
+enough for exact arithmetic.
 
 The coboundary is the negative of the Hochschild one, so that on weight 1
 it is exactly (delta f)(a, b) = f(ab) - a f(b) - b f(a).
@@ -30,7 +31,7 @@ from itertools import combinations, product
 from .complexes import CochainComplex
 from .errors import BudgetError, InternalCheckError, NotAHomomorphismError
 from .graded import AlgebraModule, FiniteGradedAlgebra
-from .linalg import Echelon, Matrix
+from .linalg import Echelon, Matrix, Quotient
 
 
 @lru_cache(maxsize=None)
@@ -75,7 +76,12 @@ def _orderings(multiset: tuple) -> list:
 
 
 class ShuffleBlock:
-    """Shuffle quotient of one orbit of degree compositions, one target degree."""
+    """Shuffle quotient of one orbit of degree compositions, one target degree.
+
+    The relation for (tuple, p) is (-1)^{p(n-p)} times the relation for the
+    rotated tuple and n - p, and the rotated tuple is in the same orbit, so
+    only p <= n // 2 is inserted.  ``std`` is the quotient's basis.
+    """
 
     def __init__(self, algebra: FiniteGradedAlgebra, comps: tuple, e: int):
         self.algebra = algebra
@@ -96,7 +102,7 @@ class ShuffleBlock:
             for ci, comp in enumerate(self.comps):
                 ranges = [range(algebra.dims[d]) for d in comp]
                 for tup in product(*ranges):
-                    for p in range(1, n):
+                    for p in range(1, n // 2 + 1):
                         row = {}
                         for perm, sign in _shuffles(p, n):
                             ncomp = tuple(comp[k2] for k2 in perm)
@@ -106,30 +112,21 @@ class ShuffleBlock:
                         row = {k: v for k, v in row.items() if v}
                         if row:
                             ech.insert(row)
-        # plain echelon form suffices: reductions modulo the row space give
-        # the same residues, and skipping back-substitution is much faster
-        self.ech = ech
-        pivots = set(ech.pivots)
-        self.std = [c for c in range(len(self.cols)) if c not in pivots]
-        self.std_pos = {c: k for k, c in enumerate(self.std)}
+        self.quotient = Quotient(ech, len(self.cols))
+        self.std = self.quotient.basis
         self._reduce_cache: dict[int, dict] = {}
 
     @property
     def dim(self) -> int:
-        return len(self.std)
+        return self.quotient.dim
 
     def reduce_col(self, ci: int, tup: tuple) -> dict:
         """Standard-tuple expansion of the elementary tuple (ci, tup)."""
         col = self.col_of[(ci, tup)]
-        cached = self._reduce_cache.get(col)
-        if cached is not None:
-            return cached
-        if col in self.std_pos:
-            out = {self.std_pos[col]: self.algebra.field.one}
-        else:
-            residue, _ = self.ech.reduce({col: self.algebra.field.one})
-            out = {self.std_pos[c]: v for c, v in residue.items()}
-        self._reduce_cache[col] = out
+        out = self._reduce_cache.get(col)
+        if out is None:
+            out = self.quotient.project({col: self.algebra.field.one})
+            self._reduce_cache[col] = out
         return out
 
 
@@ -178,9 +175,9 @@ class HarrisonWeightSpace:
         """(block index, composition index), or None when that slot is zero."""
         return self._block_of_comp.get((tuple(comp), e))
 
-    def coord(self, block_idx: int, std_pos: int, m_idx: int) -> int:
+    def coord(self, block_idx: int, pos: int, m_idx: int) -> int:
         blk = self.blocks[block_idx]
-        return self.offsets[block_idx] + std_pos * self.module.dim(blk.e) + m_idx
+        return self.offsets[block_idx] + pos * self.module.dim(blk.e) + m_idx
 
 
 class HarrisonComplex:
@@ -226,25 +223,17 @@ class HarrisonComplex:
         F = A.field
         src = self.space(n)
         dst = self.space(n + 1)
-        entries = {}
-
-        def add_entry(r, c, v):
-            nv = F.add(entries.get((r, c), F.zero), v)
-            if F.is_zero(nv):
-                entries.pop((r, c), None)
-            else:
-                entries[(r, c)] = nv
-
+        entries = {}  # summed in place; Matrix drops the zeros
         for b_idx, blk in enumerate(dst.blocks):
             e_out = blk.e
             dim_m_out = M.dim(e_out)
-            for std_pos, col in enumerate(blk.std):
+            for pos, col in enumerate(blk.std):
                 ci, tup = blk.cols[col]
                 comp = blk.comps[ci]
-                row_base = dst.offsets[b_idx] + std_pos * dim_m_out
+                row_base = dst.offsets[b_idx] + pos * dim_m_out
                 # -u_1 . f(u_2 .. u_{n+1})
                 self._action_term(src, comp[1:], tup[1:], comp[0], tup[0],
-                                  e_out, row_base, F.neg(F.one), add_entry)
+                                  e_out, row_base, F.neg(F.one), entries)
                 # sum_i (-1)^{i+1} f(..., u_i u_{i+1}, ...)
                 for i in range(n):
                     prod = A.mult_column(comp[i], tup[i], comp[i + 1], tup[i + 1])
@@ -265,16 +254,17 @@ class HarrisonComplex:
                             cval = F.mul(coeff, rv)
                             base = src.offsets[sb_idx] + t * dim_m_out
                             for m in range(dim_m_out):
-                                add_entry(row_base + m, base + m, cval)
+                                key = (row_base + m, base + m)
+                                entries[key] = F.add(entries.get(key, F.zero), cval)
                 # (-1)^n u_{n+1} . f(u_1 .. u_n)
                 sign_last = F.one if n % 2 == 0 else F.neg(F.one)
                 self._action_term(src, comp[:-1], tup[:-1], comp[-1], tup[-1],
-                                  e_out, row_base, sign_last, add_entry)
+                                  e_out, row_base, sign_last, entries)
         return Matrix(dst.dim, src.dim, entries, F)
 
     def _action_term(self, src, comp_rest, tup_rest, d_act, u_act,
-                     e_out, row_base, sign, add_entry):
-        """Contribution sign * (u_act . f(rest)) to one output row block."""
+                     e_out, row_base, sign, entries):
+        """Add sign * (u_act . f(rest)) to one output row block of ``entries``."""
         M = self.module
         F = self.algebra.field
         e_in = e_out - d_act
@@ -295,7 +285,8 @@ class HarrisonComplex:
                 colix = src.offsets[sb_idx] + t * dim_m_in + m_in
                 sv = F.mul(sign, rv)
                 for m_out, av in act.items():
-                    add_entry(row_base + m_out, colix, F.mul(sv, av))
+                    key = (row_base + m_out, colix)
+                    entries[key] = F.add(entries.get(key, F.zero), F.mul(sv, av))
 
     def delta_full_values(self, n: int, coords: dict) -> dict:
         """The coboundary of a weight-n cochain, evaluated at every full
@@ -410,32 +401,30 @@ def harrison_cohomology(algebra, module, n, internal_degree=None,
     return cx.cohomology(n - 1, representatives=representatives)
 
 
-def module_via_homomorphism(algebra_a, algebra_b, components: dict,
-                            check=True) -> AlgebraModule:
+def module_via_homomorphism(algebra_a, algebra_b, components: dict) -> AlgebraModule:
     """B as an A-module through f: A -> B; f given by per-degree matrices.
 
     Raises NotAHomomorphismError with the first failing basis pair when f
     is not multiplicative.
     """
     F = algebra_a.field
-    if check:
-        for i in algebra_a.degrees:
-            for j in algebra_a.degrees:
-                if i + j not in algebra_a.dims:
-                    continue
-                fi, fj = components.get(i), components.get(j)
-                fij = components.get(i + j)
-                for a in range(algebra_a.dims[i]):
-                    fa = fi.col(a) if fi is not None else {}
-                    for b in range(algebra_a.dims[j]):
-                        fb = fj.col(b) if fj is not None else {}
-                        lhs = algebra_b.multiply(i, fa, j, fb)
-                        prod = algebra_a.mult_column(i, a, j, b)
-                        rhs = fij.times_vec(prod) if fij is not None else {}
-                        if lhs != rhs:
-                            raise NotAHomomorphismError(
-                                f"not a homomorphism at degrees {(i, j)}, "
-                                f"basis pair ({a}, {b})", witness=(i, a, j, b))
+    for i in algebra_a.degrees:
+        for j in algebra_a.degrees:
+            if i + j not in algebra_a.dims:
+                continue
+            fi, fj = components.get(i), components.get(j)
+            fij = components.get(i + j)
+            for a in range(algebra_a.dims[i]):
+                fa = fi.col(a) if fi is not None else {}
+                for b in range(algebra_a.dims[j]):
+                    fb = fj.col(b) if fj is not None else {}
+                    lhs = algebra_b.multiply(i, fa, j, fb)
+                    prod = algebra_a.mult_column(i, a, j, b)
+                    rhs = fij.times_vec(prod) if fij is not None else {}
+                    if lhs != rhs:
+                        raise NotAHomomorphismError(
+                            f"not a homomorphism at degrees {(i, j)}, "
+                            f"basis pair ({a}, {b})", witness=(i, a, j, b))
     action = {}
     for i in algebra_a.degrees:
         fi = components.get(i)

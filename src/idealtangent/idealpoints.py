@@ -3,14 +3,15 @@
 A point is a graded subspace of a finite graded algebra passing the exact
 ideal test.  The classical tangent space is the space of degree-0 module
 homomorphisms I/I^2 -> A/I, computed as the kernel of an exact linear
-constraint system.
+constraint system.  The bases of A/I and of I/I^2 are chosen, and vectors
+projected onto them, by ``linalg.Quotient`` and nowhere else.
 """
 from __future__ import annotations
 
 from .errors import InternalCheckError, NotASubschemeError, ValidationError
 from .graded import (AlgebraModule, FiniteGradedAlgebra, HomIdealPresentation,
                      TruncatedCoordinateRing, ideal_degree_piece)
-from .linalg import Echelon, Matrix
+from .linalg import Echelon, Matrix, Quotient
 
 
 class GradedSubspace:
@@ -100,19 +101,14 @@ def subscheme_to_point(ring: TruncatedCoordinateRing,
         raise ValidationError("Z lives in a different ambient space than X")
     vectors = {}
     for d in range(ring.p, ring.q + 1):
+        quo = ring.quotients[d]
         z_piece = ideal_degree_piece(z_pres, d, ring.field)
-        for row in ring.ideal_pieces[d].basis_rows():
-            if not z_piece.echelon.contains(row):
+        for row in quo.ech.pivot_rows.values():
+            if not z_piece.contains(row):
                 raise NotASubschemeError(
                     f"not a subscheme of X: containment fails in degree {d}")
-        vecs = []
-        remap = ring._col_to_idx[d]
-        for row in z_piece.basis_rows():
-            residue, _ = ring.ideal_pieces[d].echelon.reduce(row)
-            vec = {remap[c]: v for c, v in residue.items()}
-            if vec:
-                vecs.append(vec)
-        vectors[d] = vecs
+        images = (quo.project(z_piece.pivot_rows[c]) for c in z_piece.pivots)
+        vectors[d] = [vec for vec in images if vec]
     subspace = GradedSubspace(ring.algebra, vectors)
     return IdealPoint(ring.algebra, subspace)
 
@@ -120,9 +116,9 @@ def subscheme_to_point(ring: TruncatedCoordinateRing,
 class QuotientData:
     """The quotient algebra A/I with projection and lift matrices.
 
-    The quotient basis in each degree is the set of non-pivot coordinates
-    of the row-reduced ideal piece, so bases are deterministic and lifts
-    are coordinate inclusions.
+    ``quotients[d]`` is the ``Quotient`` of A_d by the ideal piece I_d; its
+    basis is a set of coordinates of A_d, so lifts are coordinate
+    inclusions.
     """
 
     def __init__(self, algebra: FiniteGradedAlgebra, ideal: IdealPoint):
@@ -132,25 +128,17 @@ class QuotientData:
         self.ideal = ideal
         F = algebra.field
         dims, labels = {}, {}
-        self.proj, self.lift = {}, {}
-        self._complement = {}
+        self.quotients, self.proj, self.lift = {}, {}, {}
         for d in algebra.degrees:
             n = algebra.dims[d]
-            ech = ideal.subspace.pieces.get(d) or Echelon(F)
-            pivots = set(ech.pivots)
-            comp = [c for c in range(n) if c not in pivots]
-            self._complement[d] = comp
-            dims[d] = len(comp)
-            labels[d] = [algebra.labels[d][c] for c in comp]
-            remap = {c: k for k, c in enumerate(comp)}
-            proj_entries = {}
-            for c in range(n):
-                residue, _ = ech.reduce({c: F.one})
-                for cc, v in residue.items():
-                    proj_entries[(remap[cc], c)] = v
-            self.proj[d] = Matrix(len(comp), n, proj_entries, F)
-            self.lift[d] = Matrix(n, len(comp),
-                                  {(c, k): F.one for k, c in enumerate(comp)}, F)
+            quo = Quotient(ideal.subspace.pieces.get(d) or Echelon(F), n)
+            self.quotients[d] = quo
+            dims[d] = quo.dim
+            labels[d] = [algebra.labels[d][c] for c in quo.basis]
+            self.proj[d] = Matrix.from_cols(
+                [quo.project({c: F.one}) for c in range(n)], quo.dim, F)
+            self.lift[d] = Matrix(n, quo.dim,
+                                  {(c, k): F.one for k, c in enumerate(quo.basis)}, F)
         mult = {}
         for (i, j), _ in algebra.mult.items():
             ni, nj = dims.get(i, 0), dims.get(j, 0)
@@ -162,8 +150,7 @@ class QuotientData:
                 for b in range(nj):
                     vb = self.lift[j].col(b)
                     prod = algebra.multiply(i, va, j, vb)
-                    red = self.proj[i + j].times_vec(prod)
-                    for r, v in red.items():
+                    for r, v in self.quotients[i + j].project(prod).items():
                         entries[(r, a * nj + b)] = v
             mult[(i, j)] = Matrix(dims[i + j], ni * nj, entries, F)
         self.quotient = FiniteGradedAlgebra(F, dims, mult, labels)
@@ -181,8 +168,7 @@ class QuotientData:
                 for m in range(ne):
                     vm = self.lift[e].col(m)
                     prod = A.multiply(i, {a: A.field.one}, e, vm)
-                    red = self.proj[i + e].times_vec(prod)
-                    for r, v in red.items():
+                    for r, v in self.quotients[i + e].project(prod).items():
                         entries[(r, a * ne + m)] = v
             action[(i, e)] = Matrix(B.dims[i + e], A.dims[i] * ne, entries, A.field)
         return AlgebraModule(self.algebra, dict(B.dims), action,
@@ -215,19 +201,24 @@ def _multiplier_degrees(algebra: FiniteGradedAlgebra) -> list[int]:
 
 
 class _IdealSquareData:
-    """I^2 pieces inside I-coordinates, with I/I^2 complements."""
+    """I/I^2 per degree: the ``Quotient`` of I-coordinates by I^2.
+
+    I-coordinates of a vector of I_e are its coefficients on the RREF
+    basis of I_e, in pivot order.
+    """
 
     def __init__(self, algebra: FiniteGradedAlgebra, ideal: IdealPoint):
         F = algebra.field
         self.algebra = algebra
         self.ideal = ideal
-        self.in_i_coords: dict[int, Echelon] = {}
-        self.complement: dict[int, list[int]] = {}
+        self.square: dict[int, Quotient] = {}
+        self._i_position: dict[int, dict] = {}
         sub = ideal.subspace
         for e in algebra.degrees:
             ne = sub.dim(e)
             if ne == 0:
                 continue
+            self._i_position[e] = {c: k for k, c in enumerate(sub.pieces[e].pivots)}
             isq = Echelon(F)
             for i in algebra.degrees:
                 j = e - i
@@ -238,36 +229,28 @@ class _IdealSquareData:
                         prod = algebra.multiply(i, x, j, y)
                         if prod:
                             isq.insert(self._i_coords(e, prod))
-            isq.full_reduce()
-            self.in_i_coords[e] = isq
-            pivots = set(isq.pivots)
-            self.complement[e] = [c for c in range(ne) if c not in pivots]
+            self.square[e] = Quotient(isq, ne)
 
     def _i_coords(self, e: int, vec: dict) -> dict:
-        ech = self.ideal.subspace.pieces[e]
-        residue, coords = ech.reduce(vec)
+        residue, coords = self.ideal.subspace.pieces[e].reduce(vec)
         if residue:
             raise InternalCheckError("product left the ideal; tables inconsistent")
-        order = {c: k for k, c in enumerate(ech.pivots)}
+        position = self._i_position[e]
         F = self.algebra.field
-        return {order[c]: v for c, v in coords.items() if not F.is_zero(v)}
+        return {position[c]: v for c, v in coords.items() if not F.is_zero(v)}
 
     def modulo_square(self, e: int, vec: dict) -> dict:
         """A_e vector in I_e -> coordinates in the chosen I/I^2 basis."""
-        icoords = self._i_coords(e, vec)
-        isq = self.in_i_coords[e]
-        residue, _ = isq.reduce(icoords)
-        remap = {c: k for k, c in enumerate(self.complement[e])}
-        return {remap[c]: v for c, v in residue.items()}
+        return self.square[e].project(self._i_coords(e, vec))
 
     def basis_lift(self, e: int, r: int) -> dict:
         """A_e vector lifting the r-th I/I^2 basis element."""
         ech = self.ideal.subspace.pieces[e]
-        c = self.complement[e][r]
-        return ech.pivot_rows[ech.pivots[c]]
+        return ech.pivot_rows[ech.pivots[self.square[e].basis[r]]]
 
     def dim(self, e: int) -> int:
-        return len(self.complement.get(e, ()))
+        quo = self.square.get(e)
+        return quo.dim if quo is not None else 0
 
 
 def classical_tangent_dim(algebra: FiniteGradedAlgebra, ideal: IdealPoint,

@@ -175,6 +175,32 @@ class Echelon:
         return not residue
 
 
+class Quotient:
+    """F^n modulo the row space of an ``Echelon``; the one place a quotient
+    basis is chosen.
+
+    ``basis`` is the non-pivot coordinates in increasing order and
+    ``project`` renumbers the ``Echelon.reduce`` residue into it.  The row
+    space alone fixes the pivot set and every residue, so neither depends on
+    the order the rows came in or on back-substitution.
+    """
+
+    def __init__(self, ech: Echelon, n: int):
+        self.ech = ech
+        self.basis = [c for c in range(n) if c not in ech.pivot_rows]
+        self._position = {c: k for k, c in enumerate(self.basis)}
+
+    @property
+    def dim(self) -> int:
+        return len(self.basis)
+
+    def project(self, vec: dict) -> dict:
+        """Coordinates of ``vec`` modulo the row space, in ``basis``."""
+        residue, _ = self.ech.reduce(vec)
+        position = self._position
+        return {position[c]: v for c, v in residue.items()}
+
+
 _column = itemgetter(1)
 
 

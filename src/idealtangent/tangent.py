@@ -47,7 +47,7 @@ def _pullback_components(quotient: QuotientData, hc_sub: HarrisonComplex,
         entries = {}
         for b_idx, blk in enumerate(dst.blocks):
             dim_m = hc_amb.module.dim(blk.e)
-            for std_pos, col in enumerate(blk.std):
+            for pos, col in enumerate(blk.std):
                 ci, tup = blk.cols[col]
                 comp = blk.comps[ci]
                 loc = src.locate(comp, blk.e)
@@ -73,7 +73,7 @@ def _pullback_components(quotient: QuotientData, hc_sub: HarrisonComplex,
                     for t, rv in red.items():
                         key = (sb_idx, t)
                         acc[key] = F.add(acc.get(key, F.zero), F.mul(coeff, rv))
-                row_base = dst.offsets[b_idx] + std_pos * dim_m
+                row_base = dst.offsets[b_idx] + pos * dim_m
                 for (sb, t), v in acc.items():
                     if F.is_zero(v):
                         continue

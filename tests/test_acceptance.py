@@ -325,8 +325,7 @@ def test_criterion_9_mc_and_tangent_suite():
     from idealtangent.harrison import module_via_homomorphism
     for algebra_a, algebra_b, comps in cases:
         dims = rhom_tangent(algebra_a, algebra_b, comps, 0)
-        module = module_via_homomorphism(algebra_a, algebra_b, comps,
-                                         check=False)
+        module = module_via_homomorphism(algebra_a, algebra_b, comps)
         ok = ok and dims[0] == brute_force_derivations(algebra_a, module)
     assert _record(9, ok, "mc matrix, rca two-route agreement, rhom = Der "
                           "for 3 homomorphisms")

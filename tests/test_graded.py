@@ -19,12 +19,12 @@ TWISTED_CUBIC = HomIdealPresentation.from_strings(
 
 
 def test_ideal_piece_xy():
-    assert ideal_degree_piece(XY, 2).dim == 1
-    assert ideal_degree_piece(XY, 3).dim == 2
+    assert ideal_degree_piece(XY, 2).rank == 1
+    assert ideal_degree_piece(XY, 3).rank == 2
 
 
 def test_ideal_piece_twisted_cubic_degree_2():
-    assert ideal_degree_piece(TWISTED_CUBIC, 2).dim == 3
+    assert ideal_degree_piece(TWISTED_CUBIC, 2).rank == 3
 
 
 def test_truncation_p2_dims():

@@ -16,9 +16,10 @@ from idealtangent.fields import QQ, PrimeField
 from idealtangent.graded import (AlgebraModule, HomIdealPresentation,
                                  coordinate_ring_truncation, nilpotent_algebra,
                                  product_algebra, zero_multiplication_algebra)
-from idealtangent.harrison import (HarrisonComplex, _orderings,
-                                   harrison_cohomology, module_via_homomorphism)
-from idealtangent.linalg import Matrix
+from idealtangent.harrison import (HarrisonComplex, ShuffleBlock, _orderings,
+                                   _shuffles, harrison_cohomology,
+                                   module_via_homomorphism)
+from idealtangent.linalg import Echelon, Matrix, Quotient
 
 
 def battery():
@@ -292,3 +293,33 @@ def test_orderings_of_a_repeated_multiset_are_not_enumerated_by_permutation():
     assert _orderings((0,) * 10) == [(0,) * 10]
     assert _orderings((0,) * 9 + (1,)) == sorted((0,) * k + (1,) + (0,) * (9 - k)
                                                  for k in range(10))
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=["QQ", "GF7", "GF1000003"])
+def test_shuffle_block_matches_the_span_of_every_relation(F):
+    """ShuffleBlock inserts the (tuple, p) relations for p <= n // 2 only;
+    its basis and every projection match the span of all p in 1..n-1."""
+    p1 = coordinate_ring_truncation(HomIdealPresentation.from_strings(2, []),
+                                    1, 2, F).algebra
+    cases = [(nilpotent_algebra(2, F), (0,) * n) for n in range(2, 6)]
+    cases += [(p1, key) for key in [(1, 2), (1, 1, 2), (1, 2, 2), (1, 1, 1, 2),
+                                    (1, 1, 2, 2)]]
+    for algebra, key in cases:
+        blk = ShuffleBlock(algebra, tuple(_orderings(key)), sum(key))
+        n = len(key)
+        ech = Echelon(F)
+        for ci, tup in blk.cols:
+            comp = blk.comps[ci]
+            for p in range(1, n):
+                row = {}
+                for perm, sign in _shuffles(p, n):
+                    ncomp = tuple(comp[k] for k in perm)
+                    col = blk.col_of[(blk.comps.index(ncomp),
+                                      tuple(tup[k] for k in perm))]
+                    row[col] = row.get(col, 0) + sign
+                ech.insert({k: v for k, v in row.items() if v})
+        full = Quotient(ech, len(blk.cols))
+        assert blk.std == full.basis, key
+        for col, (ci, tup) in enumerate(blk.cols):
+            assert blk.reduce_col(ci, tup) == full.project({col: F.one}), key

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from idealtangent.fields import QQ, PrimeField
-from idealtangent.linalg import Echelon, Matrix, check_rank_consistency
+from idealtangent.linalg import Echelon, Matrix, Quotient, check_rank_consistency
 
 
 def dense_rank_reference(rows, ncols, F=QQ):
@@ -217,3 +217,37 @@ def test_full_reduce_clears_other_pivots(F, rows_ncols):
         assert not (set(row) - {c}) & set(ech.pivot_rows)
     for row in before.values():  # same row space
         assert ech.contains(row)
+
+
+def _plus_multiple(F, u, c, v):
+    """u + c*v in F, without zero entries."""
+    out = {k: F.coerce(x) for k, x in u.items()}
+    for k, x in v.items():
+        out[k] = F.add(out.get(k, F.zero), F.mul(F.coerce(c), F.coerce(x)))
+    return {k: x for k, x in out.items() if not F.is_zero(x)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields, sparse_rows,
+       st.dictionaries(st.integers(0, 6), scalars, max_size=7),
+       st.dictionaries(st.integers(0, 6), scalars, max_size=7), scalars)
+def test_quotient_basis_and_projection(F, rows_ncols, u, v, c):
+    rows, ncols = rows_ncols
+    u = {k: x for k, x in u.items() if k < ncols}
+    v = {k: x for k, x in v.items() if k < ncols}
+    ech = echelon_of(rows, F)
+    quo = Quotient(ech, ncols)
+    assert quo.dim == ncols - ech.rank
+    assert quo.basis == sorted(set(quo.basis) - set(ech.pivot_rows))
+    assert (quo.project(_plus_multiple(F, u, c, v))
+            == _plus_multiple(F, quo.project(u), c, quo.project(v)))
+    for w in (u, v, rows[0]):
+        assert (quo.project(w) == {}) == ech.contains(w)
+    for k, col in enumerate(quo.basis):
+        assert quo.project({col: F.one}) == {k: F.one}
+    # the row space alone fixes the basis and every projection
+    other = echelon_of(rows[::-1], F)
+    other.full_reduce()
+    again = Quotient(other, ncols)
+    assert again.basis == quo.basis
+    assert again.project(u) == quo.project(u)
