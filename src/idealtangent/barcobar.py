@@ -20,12 +20,13 @@ from itertools import combinations
 
 from .complexes import CochainComplex
 from .errors import BudgetError, InternalCheckError
-from .fields import QQ
+from .fields import QQ, reduced
 from .linalg import Matrix
 from .operads import (ARITY_CAP, DerivationDifferential, LieOperad, SModule,
                       TreeBasis, TreeBasisElement, _canonicalize_shape,
-                      _standardize, internal_vertices, leaf, min_leaf, node,
-                      shape_leaves, tree_sn_action, two_vertex_tree)
+                      _standardize, element_degree, label_degrees, leaf,
+                      min_leaf, node, shape_leaves, tree_sn_action,
+                      two_vertex_tree)
 
 
 class LieDualCooperad:
@@ -75,7 +76,7 @@ class LieDualCooperad:
                         coords = self.lie.tree_coordinates(
                             n, subset, k, o_idx, m, i_idx)
                         c = coords.get(idx)
-                        if c is not None and not self.field.is_zero(c):
+                        if c is not None:
                             out.append((c, subset, (k, o_idx), (m, i_idx)))
         return out
 
@@ -93,7 +94,7 @@ class BarCom:
         # suspended commutative generators: arity k, degree k - 2, sign rep
         pieces = {k: [(f"scom{k}", k - 2)] for k in range(2, n_cap + 1)}
         transpositions = {
-            k: [Matrix.identity(1, field).scale(field.neg(field.one))] * (k - 1)
+            k: [Matrix.identity(1, field).scale(-1)] * (k - 1)
             for k in range(2, n_cap + 1)}
         self.gens = SModule(pieces, transpositions, field)
         self.bases = {n: TreeBasis(self.gens, n, n_cap)
@@ -106,8 +107,7 @@ class BarCom:
         return self.bases[n].dim
 
     def degrees(self, n):
-        basis = self.bases[n]
-        return [basis.degree(el) for el in basis.elements]
+        return [element_degree(self.gens, el) for el in self.bases[n].elements]
 
     def labels(self, n):
         return [f"t{n}_{i}" for i in range(self.dim(n))]
@@ -128,10 +128,8 @@ class BarCom:
 
     def _contractions(self, el: TreeBasisElement):
         """Single-edge contractions of a bar tree with Koszul signs."""
-        F = self.field
         out = {}
-        arities = internal_vertices(el.shape)
-        degrees = [self.gens.degrees(a)[i] for a, i in zip(arities, el.labels)]
+        degrees = label_degrees(self.gens, el)
 
         def walk(shape, pos, parent_info):
             if shape[0] == "L":
@@ -174,16 +172,11 @@ class BarCom:
                 # label order of the other blocks is unchanged: their
                 # relative order is preserved by the merge
                 key = TreeBasisElement(_canon(new_shape_full), tuple(new_labels))
-                cur = out.get(key, F.zero)
-                nv = F.add(cur, F.coerce(sign))
-                if F.is_zero(nv):
-                    out.pop(key, None)
-                else:
-                    out[key] = nv
+                out[key] = out.get(key, 0) + sign
             return nxt
 
         walk(el.shape, 0, None)
-        return out
+        return reduced(self.field, out)
 
     def internal_column(self, n, idx):
         basis = self.bases[n]
@@ -192,11 +185,9 @@ class BarCom:
 
     def two_vertex_components(self, n, idx):
         """Single-edge cuts: (coeff, subset, (k, outer_idx), (m, inner_idx))."""
-        F = self.field
         el = self.bases[n].elements[idx]
         out = []
-        arities = internal_vertices(el.shape)
-        degrees = [self.gens.degrees(a)[i] for a, i in zip(arities, el.labels)]
+        degrees = label_degrees(self.gens, el)
 
         def walk(shape, pos, is_root):
             if shape[0] == "L":
@@ -226,7 +217,7 @@ class BarCom:
                 ub = self.bases.get(k)
                 if lb is None or ub is None:
                     return nxt
-                out.append((F.coerce(sign), tuple(sub_leaves),
+                out.append((sign, tuple(sub_leaves),
                             (k, ub.index[upper_el]), (m, lb.index[lower_el])))
             return nxt
 
@@ -245,7 +236,7 @@ def _graded_complex(basis: TreeBasis, image, field) -> CochainComplex:
     element ``el`` as {basis element: coefficient}, of degree one more."""
     by_degree = {}
     for i, el in enumerate(basis.elements):
-        by_degree.setdefault(basis.degree(el), []).append(i)
+        by_degree.setdefault(element_degree(basis.gens, el), []).append(i)
     degs = sorted(by_degree)
     diffs = {}
     for d in degs:
@@ -302,8 +293,7 @@ class CobarOperad:
             degs = coop.degrees(r)
             pieces[r] = [(f"g[{lbl}]", degs[i] + 2 - r)
                          for i, lbl in enumerate(coop.labels(r))]
-            sgn = field.neg(field.one)
-            transpositions[r] = [m.scale(sgn)
+            transpositions[r] = [m.scale(-1)
                                  for m in coop.action_transpositions(r)]
         self.gens = SModule(pieces, transpositions, field)
         self._deriv = DerivationDifferential(self.gens, self._gen_image)
@@ -312,7 +302,6 @@ class CobarOperad:
         self._complexes = {}
 
     def _gen_image(self, arity, idx) -> dict:
-        F = self.field
         out = {}
         for (coeff, subset, (k, o_idx), (m, i_idx)) in \
                 self.coop.two_vertex_components(arity, idx):
@@ -320,22 +309,12 @@ class CobarOperad:
             # generator-level sign of the cobar differential (fixed by the
             # exact square-zero check; see tests):
             sign = _cobar_component_sign(arity, subset, k, m)
-            v = F.mul(F.coerce(coeff), F.coerce(sign))
-            cur = out.get(el, F.zero)
-            nv = F.add(cur, v)
-            if F.is_zero(nv):
-                out.pop(el, None)
-            else:
-                out[el] = nv
+            out[el] = out.get(el, 0) + coeff * sign
         corolla = node(tuple(leaf(t) for t in range(arity)))
         for j, v in self.coop.internal_column(arity, idx).items():
             el = TreeBasisElement(corolla, (j,))
-            nv = F.add(out.get(el, F.zero), F.neg(F.coerce(v)))
-            if F.is_zero(nv):
-                out.pop(el, None)
-            else:
-                out[el] = nv
-        return out
+            out[el] = out.get(el, 0) - v
+        return reduced(self.field, out)
 
     def complex(self, n) -> CochainComplex:
         if n not in self._complexes:

@@ -115,9 +115,7 @@ def _koszul_exactness_probe(ci: CIData, degrees_probed, field=QQ):
                         row = index[r - 1].get(key)
                         if row is None:
                             raise ValidationError("Koszul bookkeeping error")
-                        entries[(row, col)] = field.add(
-                            entries.get((row, col), field.zero),
-                            field.coerce(fc * sign))
+                        entries[(row, col)] = entries.get((row, col), 0) + fc * sign
             diffs[(-r, 0)] = Matrix(dims[r - 1], dims[r], entries, field)
         koszul = CochainComplex({(-r, 0): n for r, n in dims.items()}, diffs, field)
         for r in range(1, c):
@@ -169,8 +167,7 @@ def _total_complex(ci: CIData, e: int, floor: int, field=QQ) -> CochainComplex:
                 sign = (-1) ** nchart.index(j)
                 row = dst.get((r, subset, nchart, mono))
                 if row is not None:
-                    entries[(row, col)] = field.add(
-                        entries.get((row, col), field.zero), field.coerce(sign))
+                    entries[(row, col)] = entries.get((row, col), 0) + sign
             # Koszul differential, with the sign twisted by the Cech level
             ksign = (-1) ** s
             for pos2, j in enumerate(subset):
@@ -179,9 +176,7 @@ def _total_complex(ci: CIData, e: int, floor: int, field=QQ) -> CochainComplex:
                 for fm, fc in ci.forms[j].coeffs.items():
                     row = dst.get((r - 1, rest, chart, mono_mul(mono, fm)))
                     if row is not None:
-                        entries[(row, col)] = field.add(
-                            entries.get((row, col), field.zero),
-                            field.coerce(fc * sign))
+                        entries[(row, col)] = entries.get((row, col), 0) + fc * sign
         diffs[(k, 0)] = Matrix(dims[k + 1], dims[k], entries, field)
     terms = {(k, 0): d for k, d in dims.items()}
     return CochainComplex(terms, diffs, field)

@@ -23,10 +23,11 @@ from fractions import Fraction
 from itertools import product
 
 from .errors import BudgetError, InternalCheckError, ValidationError
-from .fields import QQ
+from .fields import QQ, reduced
 from .graded import AlgebraModule, FiniteGradedAlgebra
 from .harrison import HarrisonComplex, _shuffles
 from .linalg import Echelon
+from .operads import koszul_reorder_sign
 
 
 class GradedSpace:
@@ -55,8 +56,7 @@ class CInfinityStructure:
         for arity, table in operations.items():
             clean = {}
             for tup, out in table.items():
-                vec = {i: field.coerce(c) for i, c in out.items()
-                       if not field.is_zero(field.coerce(c))}
+                vec = reduced(field, out)
                 if vec:
                     clean[tuple(tup)] = vec
             if clean:
@@ -91,42 +91,18 @@ class CInfinityStructure:
             if arity < 2:
                 continue
             for tup in product(range(n_dim), repeat=arity):
+                degs = [self.vdeg[i] for i in tup]
                 for p in range(1, arity):
                     acc = {}
-                    for perm, base_sign in _shuffles(p, arity):
+                    for perm, _ in _shuffles(p, arity):
                         ntup = tuple(tup[k] for k in perm)
-                        sign = base_sign * _koszul_perm_sign(
-                            [self.vdeg[i] for i in tup], perm)
+                        sign = koszul_reorder_sign(degs, perm)
                         for w, c in self.apply(arity, ntup).items():
-                            nv = F.add(acc.get(w, F.zero),
-                                       F.mul(F.coerce(sign), c))
-                            acc[w] = nv
-                    for v in acc.values():
-                        if not F.is_zero(v):
-                            raise ValidationError(
-                                f"operation of arity {arity} does not vanish "
-                                f"on signed shuffles")
-
-
-def _koszul_perm_sign(degrees, perm) -> int:
-    """Koszul correction of permuting homogeneous tensor factors, relative
-    to the plain permutation sign already accounted separately.
-
-    Together base permutation sign * this correction equals the full
-    Koszul sign; the base sign counts all inversions, the correction
-    multiplies by (-1)^((d_i-1)(d_j-1)) ... here we simply compute the full
-    Koszul sign divided by the plain sign.
-    """
-    full = 1
-    plain = 1
-    seen = []
-    for pos, v in enumerate(perm):
-        for s in seen:
-            if s > v:
-                plain *= -1
-                full *= (-1) ** (degrees[s] * degrees[v])
-        seen.append(v)
-    return full * plain  # full = plain * correction => correction = full/plain
+                            acc[w] = acc.get(w, 0) + sign * c
+                    if reduced(F, acc):
+                        raise ValidationError(
+                            f"operation of arity {arity} does not vanish "
+                            f"on signed shuffles")
 
 
 def square_components(structure: CInfinityStructure, n: int) -> dict:
@@ -152,11 +128,9 @@ def square_components(structure: CInfinityStructure, n: int) -> dict:
                 for mid, c in inner.items():
                     outer_tup = tup[:r] + (mid,) + tup[r + s:]
                     for w, oc in structure.apply(outer_arity, outer_tup).items():
-                        term = F.mul(F.mul(F.coerce(sign), c), oc)
-                        acc[w] = F.add(acc.get(w, F.zero), term)
-        for w, v in acc.items():
-            if not F.is_zero(v):
-                out[(tup, w)] = v
+                        acc[w] = acc.get(w, 0) + sign * c * oc
+        for w, v in reduced(F, acc).items():
+            out[(tup, w)] = v
     return out
 
 
@@ -229,29 +203,22 @@ def rca_tangent_via_mc(algebra: FiniteGradedAlgebra) -> int:
 
             def add(key, coeff):
                 idx = var[key]
-                nv = F.add(row.get(idx, F.zero), coeff)
-                if F.is_zero(nv):
-                    row.pop(idx, None)
-                else:
-                    row[idx] = nv
+                row[idx] = row.get(idx, 0) + coeff
 
             # derivative of R_3 = b2(b2 x 1) - b2(1 x b2) in direction g
             for mid, c in mu_val(v1, v2).items():
                 add(((min(mid, v3), max(mid, v3)), w), c)
-            for mid, c in ((kk, vv) for kk, vv in
-                           [(k, v) for k, v in mu_val(v2, v3).items()]):
-                add(((min(v1, mid), max(v1, mid)), w), F.neg(c))
-            for (a, b), tgt, sgn in (((v1, v2), v3, F.one),
-                                     ((v2, v3), v1, F.neg(F.one))):
+            for mid, c in mu_val(v2, v3).items():
+                add(((min(v1, mid), max(v1, mid)), w), -c)
+            for (a, b), tgt, sgn in (((v1, v2), v3, 1), ((v2, v3), v1, -1)):
                 gp = ((min(a, b), max(a, b)))
                 # g(a,b) then mu(result, tgt): touches mu columns
                 for mid in range(dim):
-                    coeff = mu_val(mid, tgt).get(w) if sgn == F.one else \
+                    coeff = mu_val(mid, tgt).get(w) if sgn == 1 else \
                         mu_val(tgt, mid).get(w)
                     if coeff is not None:
-                        add((gp, mid), F.mul(sgn, coeff))
-            if row:
-                ech.insert(row)
+                        add((gp, mid), sgn * coeff)
+            ech.insert(row)
     return len(var) - ech.rank
 
 

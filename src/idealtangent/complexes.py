@@ -118,7 +118,6 @@ def mapping_fiber(f: ChainMap) -> CochainComplex:
     """
     S, T = f.source, f.target
     field = S.field
-    neg = field.neg
     terms = {(i, j): S.dim(i, j) + T.dim(i - 1, j)
              for (i, j) in set(S.terms) | {(i + 1, j) for (i, j) in T.terms}}
     diffs = {}
@@ -135,7 +134,7 @@ def mapping_fiber(f: ChainMap) -> CochainComplex:
         d_t = T.diffs.get((i - 1, j))
         if d_t is not None:
             for (a, b), v in d_t.entries.items():
-                ent[(rs + a, ns + b)] = neg(v)
+                ent[(rs + a, ns + b)] = -v
         if ent:
             diffs[(i, j)] = Matrix(rs + T.dim(i, j), ns + T.dim(i - 1, j),
                                    ent, field)

@@ -3,6 +3,15 @@
 Every scalar in the engine is either a ``fractions.Fraction`` (rational mode)
 or a Python int in ``[0, p)`` (prime mode).  There is no floating point
 anywhere.  Prime mode is an accelerator; rational mode is the reference.
+
+One scalar rule holds everywhere.  Scalars are plain Python numbers and
+combine with ``+``, ``-`` and ``*``; a raw sum or product is brought back
+into the field once, by ``coerce``, where a vector, a matrix or an element
+dict is produced, and ``reduced`` does that for a whole dict and drops the
+zeros.  ``coerce`` is the identity on a Fraction over QQ and ``x % p`` on an
+int over GF(p), so a sum is reduced once, not after every operation.  A field
+object carries ``p`` (0 for QQ), ``one`` and ``coerce`` and no arithmetic
+methods.
 """
 from __future__ import annotations
 
@@ -38,10 +47,8 @@ def _is_prime(n: int) -> bool:
 class RationalField:
     """The field of rationals; elements are Fraction instances."""
 
-    kind = "rational"
     name = "QQ"
-
-    zero = Fraction(0)
+    p = 0
     one = Fraction(1)
 
     def coerce(self, x) -> Fraction:
@@ -53,30 +60,6 @@ class RationalField:
         if isinstance(x, (Fraction, int)):
             return Fraction(x)
         raise ValidationError(f"cannot coerce {x!r} into QQ")
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
-
-    @staticmethod
-    def mul(a, b):
-        return a * b
-
-    @staticmethod
-    def div(a, b):
-        return a / b
-
-    @staticmethod
-    def neg(a):
-        return -a
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
 
     def __repr__(self):
         return "QQ"
@@ -91,14 +74,11 @@ class RationalField:
 class PrimeField:
     """GF(p) for a prime p; elements are ints in [0, p)."""
 
-    kind = "prime"
-
     def __init__(self, p: int):
         if not _is_prime(p):
             raise ValidationError(f"{p} is not prime")
         self.p = p
         self.name = f"GF({p})"
-        self.zero = 0
         self.one = 1 % p
 
     def coerce(self, x):
@@ -114,27 +94,6 @@ class PrimeField:
             return x.numerator % p * pow(den, p - 2, p) % p
         raise ValidationError(f"cannot coerce {x!r} into GF({p})")
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def div(self, a, b):
-        if b % self.p == 0:
-            raise ZeroDivisionError("division by zero in prime field")
-        return a * pow(b, self.p - 2, self.p) % self.p
-
-    def neg(self, a):
-        return -a % self.p
-
-    @staticmethod
-    def is_zero(a) -> bool:
-        return a == 0
-
     def __repr__(self):
         return self.name
 
@@ -146,6 +105,14 @@ class PrimeField:
 
 
 QQ = RationalField()
+
+
+def reduced(field, values: dict) -> dict:
+    """``values`` with every scalar reduced by ``field.coerce`` and the zeros
+    dropped: the one point where raw sums become field elements."""
+    coerce = field.coerce
+    return {k: cv for k, v in values.items() if (cv := coerce(v))}
+
 
 #: default accelerator prime (> 10**6, comfortably above all structure
 #: constants met in the acceptance suite)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalCheckError, ValidationError
-from .fields import QQ
+from .fields import QQ, reduced
 from .linalg import Echelon, Matrix, Quotient
 from .polynomials import (count_monomials, mono_mul, mono_str,
                           monomials_of_degree, parse_homogeneous)
@@ -54,10 +54,7 @@ def ideal_degree_piece(pres: HomIdealPresentation, d: int, field=QQ) -> Echelon:
         if gd > d:
             continue
         for m in monomials_of_degree(pres.nvars, d - gd):
-            row = {}
-            for gm, c in g.coeffs.items():
-                row[index[mono_mul(m, gm)]] = field.coerce(c)
-            ech.insert(row)
+            ech.insert({index[mono_mul(m, gm)]: c for gm, c in g.coeffs.items()})
     ech.full_reduce()
     return ech
 
@@ -78,10 +75,10 @@ def _bilinear(tables: dict, dims: dict, F, i: int, va, j: int, vb) -> dict:
     out: dict[int, object] = {}
     for a, ca in va.items():
         for b, cb in vb.items():
-            c = F.mul(F.coerce(ca), F.coerce(cb))
+            c = ca * cb
             for r, v in m.col(a * n + b).items():
-                out[r] = F.add(out.get(r, F.zero), F.mul(c, v))
-    return {r: v for r, v in out.items() if not F.is_zero(v)}
+                out[r] = out.get(r, 0) + c * v
+    return reduced(F, out)
 
 
 class FiniteGradedAlgebra:

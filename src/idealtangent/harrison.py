@@ -31,6 +31,7 @@ from itertools import combinations, product
 from .complexes import CochainComplex
 from .errors import BudgetError, InternalCheckError, NotAHomomorphismError
 from .graded import AlgebraModule, FiniteGradedAlgebra
+from .fields import reduced
 from .linalg import Echelon, Matrix, Quotient
 
 
@@ -223,7 +224,7 @@ class HarrisonComplex:
         F = A.field
         src = self.space(n)
         dst = self.space(n + 1)
-        entries = {}  # summed in place; Matrix drops the zeros
+        entries = {}  # raw sums; the Matrix reduces them and drops the zeros
         for b_idx, blk in enumerate(dst.blocks):
             e_out = blk.e
             dim_m_out = M.dim(e_out)
@@ -233,13 +234,13 @@ class HarrisonComplex:
                 row_base = dst.offsets[b_idx] + pos * dim_m_out
                 # -u_1 . f(u_2 .. u_{n+1})
                 self._action_term(src, comp[1:], tup[1:], comp[0], tup[0],
-                                  e_out, row_base, F.neg(F.one), entries)
+                                  e_out, row_base, -1, entries)
                 # sum_i (-1)^{i+1} f(..., u_i u_{i+1}, ...)
                 for i in range(n):
                     prod = A.mult_column(comp[i], tup[i], comp[i + 1], tup[i + 1])
                     if not prod:
                         continue
-                    sign = F.one if i % 2 == 0 else F.neg(F.one)
+                    sign = -1 if i % 2 else 1
                     ncomp = comp[:i] + (comp[i] + comp[i + 1],) + comp[i + 2:]
                     loc = src.locate(ncomp, e_out)
                     if loc is None:
@@ -249,24 +250,22 @@ class HarrisonComplex:
                     for bidx, bv in prod.items():
                         ntup = tup[:i] + (bidx,) + tup[i + 2:]
                         red = sblk.reduce_col(sci, ntup)
-                        coeff = F.mul(sign, bv)
+                        coeff = sign * bv
                         for t, rv in red.items():
-                            cval = F.mul(coeff, rv)
+                            cval = coeff * rv
                             base = src.offsets[sb_idx] + t * dim_m_out
                             for m in range(dim_m_out):
                                 key = (row_base + m, base + m)
-                                entries[key] = F.add(entries.get(key, F.zero), cval)
+                                entries[key] = entries.get(key, 0) + cval
                 # (-1)^n u_{n+1} . f(u_1 .. u_n)
-                sign_last = F.one if n % 2 == 0 else F.neg(F.one)
                 self._action_term(src, comp[:-1], tup[:-1], comp[-1], tup[-1],
-                                  e_out, row_base, sign_last, entries)
+                                  e_out, row_base, -1 if n % 2 else 1, entries)
         return Matrix(dst.dim, src.dim, entries, F)
 
     def _action_term(self, src, comp_rest, tup_rest, d_act, u_act,
                      e_out, row_base, sign, entries):
         """Add sign * (u_act . f(rest)) to one output row block of ``entries``."""
         M = self.module
-        F = self.algebra.field
         e_in = e_out - d_act
         loc = src.locate(tuple(comp_rest), e_in)
         if loc is None:
@@ -283,10 +282,10 @@ class HarrisonComplex:
                 continue
             for t, rv in red.items():
                 colix = src.offsets[sb_idx] + t * dim_m_in + m_in
-                sv = F.mul(sign, rv)
+                sv = sign * rv
                 for m_out, av in act.items():
                     key = (row_base + m_out, colix)
-                    entries[key] = F.add(entries.get(key, F.zero), F.mul(sv, av))
+                    entries[key] = entries.get(key, 0) + sv * av
 
     def delta_full_values(self, n: int, coords: dict) -> dict:
         """The coboundary of a weight-n cochain, evaluated at every full
@@ -312,8 +311,8 @@ class HarrisonComplex:
                     v = coords.get(src.offsets[sb_idx] + t * dim_m + m)
                     if v is None:
                         continue
-                    out[m] = F.add(out.get(m, F.zero), F.mul(rv, v))
-            return {m: v for m, v in out.items() if not F.is_zero(v)}
+                    out[m] = out.get(m, 0) + rv * v
+            return reduced(F, out)
 
         values = {}
         for comp in product(A.degrees, repeat=n + 1):
@@ -327,31 +326,30 @@ class HarrisonComplex:
                     acc: dict[int, object] = {}
 
                     def add(m, v):
-                        acc[m] = F.add(acc.get(m, F.zero), v)
+                        acc[m] = acc.get(m, 0) + v
 
                     fv = f_value(comp[1:], tup[1:], e_out - comp[0])
                     for m_in, v in fv.items():
                         for m_out, av in M.act_column(
                                 comp[0], tup[0], e_out - comp[0], m_in).items():
-                            add(m_out, F.neg(F.mul(v, av)))
+                            add(m_out, -v * av)
                     for i in range(n):
                         prod = A.mult_column(comp[i], tup[i],
                                              comp[i + 1], tup[i + 1])
-                        sign = F.one if i % 2 == 0 else F.neg(F.one)
+                        sign = -1 if i % 2 else 1
                         ncomp = comp[:i] + (comp[i] + comp[i + 1],) + comp[i + 2:]
                         for bidx, bv in prod.items():
                             ntup = tup[:i] + (bidx,) + tup[i + 2:]
                             for m, v in f_value(ncomp, ntup, e_out).items():
-                                add(m, F.mul(F.mul(sign, bv), v))
-                    sign_last = F.one if n % 2 == 0 else F.neg(F.one)
+                                add(m, sign * bv * v)
+                    sign_last = -1 if n % 2 else 1
                     fv = f_value(comp[:-1], tup[:-1], e_out - comp[-1])
                     for m_in, v in fv.items():
                         for m_out, av in M.act_column(
                                 comp[-1], tup[-1], e_out - comp[-1], m_in).items():
-                            add(m_out, F.mul(sign_last, F.mul(v, av)))
-                    for m, v in acc.items():
-                        if not F.is_zero(v):
-                            values[(comp, tup, e_out, m)] = v
+                            add(m_out, sign_last * v * av)
+                    for m, v in reduced(F, acc).items():
+                        values[(comp, tup, e_out, m)] = v
         return values
 
     def check_shuffle_stability(self, n: int):
@@ -383,13 +381,11 @@ class HarrisonComplex:
                                     v = g.get((ncomp, ntup, e_out, m))
                                     if v is None:
                                         continue
-                                    acc[m] = F.add(acc.get(m, F.zero),
-                                                   F.mul(F.coerce(sign), v))
-                            for v in acc.values():
-                                if not F.is_zero(v):
-                                    raise InternalCheckError(
-                                        "Hochschild coboundary left the "
-                                        "shuffle-vanishing subspace")
+                                    acc[m] = acc.get(m, 0) + sign * v
+                            if reduced(F, acc):
+                                raise InternalCheckError(
+                                    "Hochschild coboundary left the "
+                                    "shuffle-vanishing subspace")
         return True
 
 

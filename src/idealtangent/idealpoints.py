@@ -236,8 +236,7 @@ class _IdealSquareData:
         if residue:
             raise InternalCheckError("product left the ideal; tables inconsistent")
         position = self._i_position[e]
-        F = self.algebra.field
-        return {position[c]: v for c, v in coords.items() if not F.is_zero(v)}
+        return {position[c]: v for c, v in coords.items()}
 
     def modulo_square(self, e: int, vec: dict) -> dict:
         """A_e vector in I_e -> coordinates in the chosen I/I^2 basis."""
@@ -300,11 +299,6 @@ def classical_tangent_dim(algebra: FiniteGradedAlgebra, ideal: IdealPoint,
                             cv = col.get(sp)
                             if cv is not None:
                                 key = var_index[(d, r, s)]
-                                nv = F.sub(row.get(key, F.zero), cv)
-                                if F.is_zero(nv):
-                                    row.pop(key, None)
-                                else:
-                                    row[key] = nv
-                        if row:
-                            ech.insert(row)
+                                row[key] = row.get(key, 0) - cv
+                        ech.insert(row)
     return len(var_index) - ech.rank

@@ -1,9 +1,14 @@
 """Exact sparse linear algebra over QQ and prime fields.
 
-Vectors are dicts {index: scalar} with no explicit zeros.  ``Echelon``
-keeps integer rows: over QQ primitive vectors (denominators cleared,
-content divided out, leading entry positive), over GF(p) residues with
-monic pivot rows.  One row update, ``_combine``, does every elimination in
+Vectors are dicts {index: scalar} with no explicit zeros, and every scalar
+a ``Matrix`` or a returned vector holds is canonical: a Fraction over QQ,
+an int in [1, p) over GF(p).  Products and sums are formed with the Python
+operators on raw values and reduced once, by ``field.coerce``, where the
+matrix or vector is produced (``Matrix.__init__`` and ``fields.reduced``).
+
+``Echelon`` keeps integer rows: over QQ primitive vectors (denominators
+cleared, content divided out, leading entry positive), over GF(p) residues
+with monic pivot rows.  One row update, ``_combine``, does every elimination in
 both fields by fraction-free cross-multiplication, reduced mod p over GF(p).
 Pivoting is deterministic: columns are processed left to right and within a
 column the first candidate row wins, so all reported bases are reproducible.
@@ -16,7 +21,7 @@ from math import gcd
 from operator import itemgetter
 
 from .errors import InternalCheckError
-from .fields import QQ, RationalField
+from .fields import QQ, reduced
 
 
 def _primitive(ints: dict, p: int = 0) -> dict:
@@ -87,7 +92,7 @@ class Echelon:
 
     def __init__(self, field=QQ):
         self.field = field
-        self.p = 0 if isinstance(field, RationalField) else field.p
+        self.p = field.p
         self.pivot_rows: dict[int, dict] = {}
         self._reduced = False
 
@@ -103,8 +108,7 @@ class Echelon:
         """``(ints, den)`` with ``row == ints / den``; ``den`` is 1 over GF(p)."""
         if not self.p:
             return _clear_denominators(row)
-        coerce = self.field.coerce
-        return {k: cv for k, v in row.items() if (cv := coerce(v))}, 1
+        return reduced(self.field, row), 1
 
     def insert(self, row: dict):
         """Insert a row; return its pivot column, or None if dependent."""
@@ -213,10 +217,11 @@ class Matrix:
         self.nrows = nrows
         self.ncols = ncols
         self.field = field
+        coerce = field.coerce
         ent = {}
         for (i, j), v in entries.items():
-            cv = field.coerce(v)
-            if not field.is_zero(cv):
+            cv = coerce(v)
+            if cv:
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise IndexError(f"entry {(i, j)} outside {nrows}x{ncols}")
                 ent[(i, j)] = cv
@@ -286,21 +291,19 @@ class Matrix:
         raise TypeError("Matrix is not hashable")
 
     def scale(self, c) -> "Matrix":
-        F = self.field
-        c = F.coerce(c)
         return Matrix(self.nrows, self.ncols,
-                      {k: F.mul(c, v) for k, v in self.entries.items()}, F)
+                      {k: c * v for k, v in self.entries.items()}, self.field)
 
     def mul(self, other) -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        F = self.field
         by_row: dict[int, dict[int, object]] = {}
         for (i, k), v in self.entries.items():
             by_row.setdefault(i, {})[k] = v
         o_by_row: dict[int, dict[int, object]] = {}
         for (k, j), v in other.entries.items():
             o_by_row.setdefault(k, {})[j] = v
+        F = self.field
         ent = {}
         for i, row in by_row.items():
             acc: dict[int, object] = {}
@@ -309,23 +312,20 @@ class Matrix:
                 if not orow:
                     continue
                 for j, b in orow.items():
-                    nv = F.add(acc.get(j, F.zero), F.mul(a, b))
-                    acc[j] = nv
-            for j, v in acc.items():
-                if not F.is_zero(v):
-                    ent[(i, j)] = v
+                    acc[j] = acc.get(j, 0) + a * b
+            # reduced row by row, so a vanishing product (every d∘d check)
+            # never holds its zero sums all at once
+            for j, v in reduced(F, acc).items():
+                ent[(i, j)] = v
         return Matrix(self.nrows, other.ncols, ent, F)
 
     def times_vec(self, vec: dict) -> dict:
-        F = self.field
         out: dict[int, object] = {}
         for (i, j), v in self.entries.items():
             x = vec.get(j)
-            if x is None:
-                continue
-            nv = F.add(out.get(i, F.zero), F.mul(v, F.coerce(x)))
-            out[i] = nv
-        return {i: v for i, v in out.items() if not F.is_zero(v)}
+            if x is not None:
+                out[i] = out.get(i, 0) + v * x
+        return reduced(self.field, out)
 
     def echelon(self) -> Echelon:
         ech = Echelon(self.field)
@@ -347,21 +347,21 @@ class Matrix:
         """Columns span ker(self); empty matrix when the kernel is 0."""
         ech = self.echelon()
         ech.full_reduce()
-        F = self.field
+        p = ech.p
         pivots = ech.pivots
         free = [j for j in range(self.ncols) if j not in ech.pivot_rows]
         cols = []
         for f in free:
-            col = {f: F.one}
+            col = {f: 1}
             for c in pivots:
                 row = ech.pivot_rows[c]
                 if f in row:
-                    col[c] = F.div(F.neg(F.coerce(row[f])), F.coerce(row[c]))
-            if isinstance(F, RationalField):
+                    # pivot rows are monic over GF(p)
+                    col[c] = -row[f] if p else Fraction(-row[f], row[c])
+            if not p:
                 col = _primitive(_clear_denominators(col)[0])
-                col = {k: Fraction(v) for k, v in col.items()}
             cols.append(col)
-        return Matrix.from_cols(cols, self.ncols, F)
+        return Matrix.from_cols(cols, self.ncols, self.field)
 
 
 def check_rank_consistency(m: Matrix):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .errors import BudgetError, InternalCheckError, ValidationError
-from .fields import QQ
+from .fields import QQ, reduced
 from .linalg import Echelon, Matrix
 
 ARITY_CAP = 5
@@ -136,7 +136,7 @@ def suspend(e: SModule, inverse=False) -> SModule:
     shift = (lambda n: n - 1) if inverse else (lambda n: 1 - n)
     pieces = {n: [(s, d + shift(n)) for s, d in v] for n, v in e.pieces.items()}
     transpositions = {
-        n: [m.scale(e.field.neg(e.field.one)) for m in e.transpositions[n]]
+        n: [m.scale(-1) for m in e.transpositions[n]]
         for n in e.pieces}
     return SModule(pieces, transpositions, e.field, check=False)
 
@@ -186,7 +186,7 @@ class LieOperad:
             ech = Echelon(field)
             marker = len(words)
             for j, seq in enumerate(letters):
-                row = {self._word_index[n][w]: field.coerce(c)
+                row = {self._word_index[n][w]: c
                        for w, c in _bracket_word_expansion(seq).items()}
                 row[marker + j] = field.one
                 ech.insert(row)
@@ -201,15 +201,14 @@ class LieOperad:
 
     def coordinates(self, n, word_vec: dict) -> dict:
         ech, marker = self._solvers[n]
-        F = self.field
-        vec = {self._word_index[n][w]: F.coerce(c) for w, c in word_vec.items()}
+        vec = {self._word_index[n][w]: c for w, c in word_vec.items()}
         residue, _ = ech.reduce(vec)
         coords = {}
         for col, v in residue.items():
             if col < marker:
                 raise ValidationError("element is not in the Lie subspace")
-            coords[col - marker] = F.neg(v)
-        return coords
+            coords[col - marker] = -v
+        return reduced(self.field, coords)
 
     def action_matrix(self, n, perm) -> Matrix:
         """Left action: relabel letters by l -> perm[l], re-express."""
@@ -411,14 +410,15 @@ class TreeBasis:
     def dim(self):
         return len(self.elements)
 
-    def degree(self, el: TreeBasisElement) -> int:
-        arities = internal_vertices(el.shape)
-        return sum(self.gens.degrees(a)[i] for a, i in zip(arities, el.labels))
+
+def label_degrees(gens: SModule, el: TreeBasisElement) -> list:
+    """The degrees of the vertex labels of ``el``, in depth-first order."""
+    arities = internal_vertices(el.shape)
+    return [gens.degrees(a)[i] for a, i in zip(arities, el.labels)]
 
 
 def element_degree(gens: SModule, el: TreeBasisElement) -> int:
-    arities = internal_vertices(el.shape)
-    return sum(gens.degrees(a)[i] for a, i in zip(arities, el.labels))
+    return sum(label_degrees(gens, el))
 
 
 # ---------------------------------------------------------------------------
@@ -458,16 +458,13 @@ def _canonicalize_shape(shape, counter):
 def tree_sn_action(gens: SModule, element: dict, perm) -> dict:
     """Left action of a leaf permutation: relabel i -> perm[i], then
     re-canonicalize, acting on vertex labels and collecting Koszul signs."""
-    F = gens.field
     out = {}
     for el, coeff in element.items():
         relabeled = _relabel_leaves(el.shape, lambda i: perm[i])
         new_shape, vertex_ids, child_perms = _canonicalize_shape(relabeled, [0])
         arities = internal_vertices(el.shape)
-        degrees = [gens.degrees(a)[i] for a, i in zip(arities, el.labels)]
-        sign = koszul_reorder_sign(degrees, vertex_ids)
-        base = F.mul(F.coerce(coeff), F.coerce(sign))
-        partial = [((), base)]
+        sign = koszul_reorder_sign(label_degrees(gens, el), vertex_ids)
+        partial = [((), coeff * sign)]
         for old_id in vertex_ids:
             old_label = el.labels[old_id]
             tau = child_perms.get(old_id)
@@ -476,18 +473,12 @@ def tree_sn_action(gens: SModule, element: dict, perm) -> dict:
                 continue
             inv = tuple(tau.index(p) for p in range(len(tau)))
             col = gens.action(arities[old_id], inv).col(old_label)
-            partial = [(lab + (i,), F.mul(c, v))
+            partial = [(lab + (i,), c * v)
                        for lab, c in partial for i, v in col.items()]
         for labels, c in partial:
-            if F.is_zero(c):
-                continue
             key = TreeBasisElement(new_shape, labels)
-            nv = F.add(out.get(key, F.zero), c)
-            if F.is_zero(nv):
-                out.pop(key, None)
-            else:
-                out[key] = nv
-    return out
+            out[key] = out.get(key, 0) + c
+    return reduced(gens.field, out)
 
 
 def graft(gens: SModule, el1: TreeBasisElement, slot: int,
@@ -513,28 +504,19 @@ def graft(gens: SModule, el1: TreeBasisElement, slot: int,
 
     new_shape = splice(shape1, [0])
     pos = insert_pos[0]
-    arities1 = internal_vertices(el1.shape)
-    arities2 = internal_vertices(el2.shape)
-    degs1 = [gens.degrees(a)[i] for a, i in zip(arities1, el1.labels)]
-    degs2 = [gens.degrees(a)[i] for a, i in zip(arities2, el2.labels)]
-    sign = (-1) ** (sum(degs2) * sum(degs1[pos:]) % 2)
+    sign = (-1) ** (element_degree(gens, el2)
+                    * sum(label_degrees(gens, el1)[pos:]) % 2)
     return TreeBasisElement(new_shape, el1.labels[:pos] + el2.labels
                             + el1.labels[pos:]), sign
 
 
 def graft_elements(gens: SModule, e1: dict, slot: int, e2: dict, m: int) -> dict:
-    F = gens.field
     out = {}
     for el1, c1 in e1.items():
         for el2, c2 in e2.items():
             el, sign = graft(gens, el1, slot, el2, m)
-            v = F.mul(F.mul(F.coerce(c1), F.coerce(c2)), F.coerce(sign))
-            nv = F.add(out.get(el, F.zero), v)
-            if F.is_zero(nv):
-                out.pop(el, None)
-            else:
-                out[el] = nv
-    return out
+            out[el] = out.get(el, 0) + c1 * c2 * sign
+    return reduced(gens.field, out)
 
 
 def two_vertex_tree(n, subset, outer_idx, inner_idx) -> TreeBasisElement:
@@ -612,7 +594,7 @@ class DerivationDifferential:
                     term = graft_elements(self.gens, term, slot,
                                           {child_elems[j - 1]: F.one},
                                           len(blocks[j - 1]))
-                _acc_elem(consec, term, F.one, F)
+                _acc_elem(consec, term, 1)
             # terms: +- g(c_1, .., d c_j, .., c_k)
             for j in range(k):
                 dchild = self.of_basis(child_elems[j])
@@ -627,7 +609,7 @@ class DerivationDifferential:
                     piece = dchild if jj - 1 == j else {child_elems[jj - 1]: F.one}
                     term = graft_elements(self.gens, term, slot, piece,
                                           len(blocks[jj - 1]))
-                _acc_elem(consec, term, F.coerce(sign), F)
+                _acc_elem(consec, term, sign)
             # transport consecutive blocks to the actual leaf pattern
             flat = [v for b in blocks for v in b]
             out = tree_sn_action(self.gens, consec, flat)
@@ -635,17 +617,13 @@ class DerivationDifferential:
         return out
 
     def of_element(self, element: dict) -> dict:
-        F = self.gens.field
         out = {}
         for el, c in element.items():
-            _acc_elem(out, self.of_basis(el), F.coerce(c), F)
-        return out
+            _acc_elem(out, self.of_basis(el), c)
+        return reduced(self.gens.field, out)
 
 
-def _acc_elem(target: dict, source: dict, scale, field):
+def _acc_elem(target: dict, source: dict, scale):
+    """Add ``scale * source`` to ``target`` as raw sums."""
     for el, v in source.items():
-        nv = field.add(target.get(el, field.zero), field.mul(scale, v))
-        if field.is_zero(nv):
-            target.pop(el, None)
-        else:
-            target[el] = nv
+        target[el] = target.get(el, 0) + scale * v

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .complexes import ChainMap
 from .errors import BudgetError, ValidationError
-from .fields import QQ
+from .fields import QQ, reduced
 from .graded import (AlgebraModule, FiniteGradedAlgebra, HomIdealPresentation,
                      coordinate_ring_truncation)
 from .harrison import HarrisonComplex
@@ -30,8 +30,8 @@ from .idealpoints import (IdealPoint, QuotientData, classical_tangent_dim,
 from .linalg import Matrix
 
 #: Harrison weights beyond this are refused (memory wall); H^i needs
-#: weights through i+2, so the default allows m <= 2.
-DEFAULT_WEIGHT_CAP = 4
+#: weights through i+2, so m <= 2.
+WEIGHT_CAP = 4
 
 
 def _pullback_components(quotient: QuotientData, hc_sub: HarrisonComplex,
@@ -61,22 +61,17 @@ def _pullback_components(quotient: QuotientData, hc_sub: HarrisonComplex,
                 if any(not f for f in factors):
                     continue
                 acc: dict[int, object] = {}
-                stack = [((), F.one)]
+                stack = [((), 1)]
                 for fac in factors:
-                    nxt = []
-                    for prefix, coeff in stack:
-                        for b, v in fac:
-                            nxt.append((prefix + (b,), F.mul(coeff, v)))
-                    stack = nxt
+                    stack = [(prefix + (b,), coeff * v)
+                             for prefix, coeff in stack for b, v in fac]
                 for btup, coeff in stack:
                     red = sblk.reduce_col(sci, btup)
                     for t, rv in red.items():
                         key = (sb_idx, t)
-                        acc[key] = F.add(acc.get(key, F.zero), F.mul(coeff, rv))
+                        acc[key] = acc.get(key, 0) + coeff * rv
                 row_base = dst.offsets[b_idx] + pos * dim_m
-                for (sb, t), v in acc.items():
-                    if F.is_zero(v):
-                        continue
+                for (sb, t), v in reduced(F, acc).items():
                     col_base = src.offsets[sb] + t * dim_m
                     for m in range(dim_m):
                         entries[(row_base + m, col_base + m)] = v
@@ -116,16 +111,15 @@ class TangentReport:
 
 def derived_tangent(algebra: FiniteGradedAlgebra, ideal: IdealPoint, m: int,
                     quotient: QuotientData | None = None,
-                    weight_cap: int = DEFAULT_WEIGHT_CAP,
                     window=None) -> TangentReport:
     """H^i of the tangent complex at [I], 0 <= i <= m, plus the classical
     tangent dimension for the consistency invariant H^0 = classical."""
     if m < 0:
         raise ValidationError("m must be >= 0")
-    if m + 2 > weight_cap:
+    if m + 2 > WEIGHT_CAP:
         raise BudgetError(
             f"weight budget exceeded: H^{m} needs Harrison weight {m + 2} "
-            f"> cap {weight_cap}")
+            f"> cap {WEIGHT_CAP}")
     if quotient is None:
         quotient = QuotientData(algebra, ideal)
     B = quotient.quotient
@@ -157,12 +151,10 @@ def derived_tangent(algebra: FiniteGradedAlgebra, ideal: IdealPoint, m: int,
 
 
 def tangent_at_subscheme(x_pres: HomIdealPresentation, z_pres: HomIdealPresentation,
-                         p: int, q: int, m: int, field=QQ,
-                         weight_cap: int = DEFAULT_WEIGHT_CAP) -> TangentReport:
+                         p: int, q: int, m: int, field=QQ) -> TangentReport:
     ring = coordinate_ring_truncation(x_pres, p, q, field)
     point = subscheme_to_point(ring, z_pres)
-    return derived_tangent(ring.algebra, point, m, weight_cap=weight_cap,
-                           window=(p, q))
+    return derived_tangent(ring.algebra, point, m, window=(p, q))
 
 
 @dataclass
@@ -216,21 +208,19 @@ class SweepTable:
 
 
 def _window_report(args):
-    x_pres, z_pres, p, q, m, field, weight_cap = args
-    return (p, q), tangent_at_subscheme(x_pres, z_pres, p, q, m, field,
-                                        weight_cap)
+    x_pres, z_pres, p, q, m, field = args
+    return (p, q), tangent_at_subscheme(x_pres, z_pres, p, q, m, field)
 
 
 def stabilization_sweep(x_pres: HomIdealPresentation, z_pres: HomIdealPresentation,
                         m: int, p_range, q_range, field=QQ,
-                        weight_cap: int = DEFAULT_WEIGHT_CAP,
                         threads: int = 1) -> SweepTable:
     """derived_tangent over the window grid; non-stabilization is reported,
     never silently extrapolated."""
     windows = sorted({(p, q) for p in p_range for q in q_range if p <= q})
     if not windows:
         raise ValidationError("empty window grid")
-    jobs = [(x_pres, z_pres, p, q, m, field, weight_cap) for (p, q) in windows]
+    jobs = [(x_pres, z_pres, p, q, m, field) for (p, q) in windows]
     reports = {}
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -271,8 +261,7 @@ def segre_presentation(a: int, b: int) -> HomIdealPresentation:
 
 
 def rmap_tangent(c_dim: int, y_dim: int, graph_gens, m: int, p: int, q: int,
-                 field=QQ, weight_cap: int = DEFAULT_WEIGHT_CAP,
-                 extra_product_gens=()) -> TangentReport:
+                 field=QQ, extra_product_gens=()) -> TangentReport:
     """Tangent cohomology of the space of maps at a graph ideal point.
 
     The product C x Y (projective-space factors) is presented by the Segre
@@ -287,8 +276,7 @@ def rmap_tangent(c_dim: int, y_dim: int, graph_gens, m: int, p: int, q: int,
         product_pres.nvars, list(graph_gens)) if graph_gens and isinstance(
             graph_gens[0], str) else HomIdealPresentation(
                 product_pres.nvars, tuple(graph_gens))
-    report = tangent_at_subscheme(product_pres, z_pres, p, q, m, field,
-                                  weight_cap)
+    report = tangent_at_subscheme(product_pres, z_pres, p, q, m, field)
     report.notes.append(
         "graph-projects-isomorphically-to-C not checked (caller contract)")
     return report

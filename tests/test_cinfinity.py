@@ -59,6 +59,17 @@ def test_noncommutative_product_rejected_as_shuffle_violation():
         CInfinityStructure(space, {2: table})
 
 
+def test_mixed_shifted_degrees_use_the_koszul_shuffle_sign():
+    # x in degree 0 and y, u in degree 1: shifted degrees -1, 0, 0.  Swapping
+    # x and y costs the plain sign -1 but the Koszul sign +1, so b_2 must be
+    # antisymmetric on (x, y), the opposite of the all-odd case above.
+    space = GradedSpace([0, 1, 1], ["x", "y", "u"])
+    s = CInfinityStructure(space, {2: {(0, 1): {2: 1}, (1, 0): {2: -1}}})
+    assert s.operations[2] == {(0, 1): {2: 1}, (1, 0): {2: -1}}
+    with pytest.raises(ValidationError, match="signed shuffles"):
+        CInfinityStructure(space, {2: {(0, 1): {2: 1}, (1, 0): {2: 1}}})
+
+
 def test_mc_strict_iff_commutative_associative_matches_algebra_checker():
     # the strict checker agrees with the FiniteGradedAlgebra invariant
     a = nilpotent_algebra(2)

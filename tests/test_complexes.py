@@ -175,11 +175,10 @@ def _random_complex(data, F, length):
 
 
 def _plus(a, b):
-    F = a.field
     ent = dict(a.entries)
     for k, v in b.entries.items():
-        ent[k] = F.add(ent.get(k, F.zero), v)
-    return Matrix(a.nrows, a.ncols, ent, F)
+        ent[k] = ent.get(k, 0) + v
+    return Matrix(a.nrows, a.ncols, ent, a.field)
 
 
 @settings(max_examples=150, deadline=None)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealtangent.fields import QQ, PrimeField
+from idealtangent.fields import QQ, PrimeField, reduced
+from idealtangent.graded import FiniteGradedAlgebra
 from idealtangent.linalg import Echelon, Matrix, Quotient, check_rank_consistency
 
 
@@ -26,12 +27,12 @@ def dense_rank_reference(rows, ncols, F=QQ):
             col += 1
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = F.div(F.one, m[rank][col])
-        m[rank] = [F.mul(v, inv) for v in m[rank]]
+        inv = pow(m[rank][col], -1, F.p) if F.p else 1 / m[rank][col]
+        m[rank] = [F.coerce(v * inv) for v in m[rank]]
         for r in range(nrows):
             if r != rank and m[r][col] != 0:
                 f = m[r][col]
-                m[r] = [F.sub(a, F.mul(f, b)) for a, b in zip(m[r], m[rank])]
+                m[r] = [F.coerce(a - f * b) for a, b in zip(m[r], m[rank])]
         rank += 1
         col += 1
     return rank
@@ -177,13 +178,12 @@ def test_reduce_residue_and_coordinates_are_exact(F, rows_ncols, full, vec):
         ech.full_reduce()
     residue, coords = ech.reduce(vec)
     assert not set(residue) & set(ech.pivot_rows)
-    assert all(not F.is_zero(v) for v in residue.values())
+    assert all(v != 0 for v in residue.values())
     total = dict(residue)
     for c, k in coords.items():
         for j, v in ech.pivot_rows[c].items():
-            total[j] = F.add(total.get(j, F.zero), F.mul(k, F.coerce(v)))
-    want = {j: F.coerce(v) for j, v in vec.items() if not F.is_zero(F.coerce(v))}
-    assert {j: v for j, v in total.items() if not F.is_zero(v)} == want
+            total[j] = total.get(j, 0) + k * v
+    assert reduced(F, total) == reduced(F, vec)
     assert ech.contains(vec) == (not residue)
 
 
@@ -221,10 +221,10 @@ def test_full_reduce_clears_other_pivots(F, rows_ncols):
 
 def _plus_multiple(F, u, c, v):
     """u + c*v in F, without zero entries."""
-    out = {k: F.coerce(x) for k, x in u.items()}
+    out = dict(u)
     for k, x in v.items():
-        out[k] = F.add(out.get(k, F.zero), F.mul(F.coerce(c), F.coerce(x)))
-    return {k: x for k, x in out.items() if not F.is_zero(x)}
+        out[k] = out.get(k, 0) + c * x
+    return reduced(F, out)
 
 
 @settings(max_examples=150, deadline=None)
@@ -251,3 +251,50 @@ def test_quotient_basis_and_projection(F, rows_ncols, u, v, c):
     again = Quotient(other, ncols)
     assert again.basis == quo.basis
     assert again.project(u) == quo.project(u)
+
+
+# -- the scalar rule: raw sums are reduced once, where a result is produced --
+def _dense(data, nrows, ncols):
+    """A random sparse nrows x ncols array of small raw scalars."""
+    cells = data.draw(st.lists(st.one_of(st.just(0), scalars),
+                               min_size=nrows * ncols, max_size=nrows * ncols))
+    return [cells[r * ncols:(r + 1) * ncols] for r in range(nrows)]
+
+
+def _sparse(dense):
+    return {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
+
+
+def _is_canonical(F, values):
+    if F.p:
+        return all(type(v) is int and 0 < v < F.p for v in values)
+    return all(type(v) is Fraction and v != 0 for v in values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields, st.integers(1, 4), st.integers(1, 4), st.integers(1, 4),
+       scalars, st.data())
+def test_products_match_a_dense_reference_and_are_canonical(F, n, k, m, c, data):
+    a, b = _dense(data, n, k), _dense(data, k, m)
+    vec = dict(enumerate(data.draw(st.lists(scalars, min_size=k, max_size=k))))
+    A, B = Matrix(n, k, _sparse(a), F), Matrix(k, m, _sparse(b), F)
+    ab = [[F.coerce(sum(a[i][t] * b[t][j] for t in range(k))) for j in range(m)]
+          for i in range(n)]
+    assert A.mul(B).entries == _sparse(ab)
+    av = {i: F.coerce(sum(a[i][t] * vec[t] for t in range(k))) for i in range(n)}
+    assert A.times_vec(vec) == {i: v for i, v in av.items() if v}
+    ca = [[F.coerce(c * v) for v in row] for row in a]
+    assert A.scale(c).entries == _sparse(ca)
+    for out in (A.mul(B).entries, A.times_vec(vec), A.scale(c).entries):
+        assert _is_canonical(F, out.values())
+    # the bilinear table of a one-degree algebra: column t*k + s is e_t * e_s
+    table = _dense(data, k, k * k)
+    mult = {(0, 0): Matrix(k, k * k, _sparse(table), F)}
+    alg = FiniteGradedAlgebra(F, {0: k}, mult, check=False)
+    u = dict(enumerate(data.draw(st.lists(scalars, min_size=k, max_size=k))))
+    prod = {r: F.coerce(sum(u[t] * vec[s] * table[r][t * k + s]
+                            for t in range(k) for s in range(k)))
+            for r in range(k)}
+    got = alg.multiply(0, u, 0, vec)
+    assert got == {r: v for r, v in prod.items() if v}
+    assert _is_canonical(F, got.values())

@@ -1,9 +1,11 @@
 """Scenario parser: grammar coverage and diagnostics."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealtangent.errors import ValidationError
 from idealtangent.fields import QQ, PrimeField
-from idealtangent.scenarios import parse_scenario
+from idealtangent.scenarios import TASKS, _BLOCK_KEYS, _SCALAR_KEYS, parse_scenario
 
 GOOD = """
 # two points on the projective line
@@ -113,3 +115,32 @@ def test_bad_integer_is_a_located_validation_error(line, column):
     with pytest.raises(ValidationError) as exc:
         parse_scenario(f"task = harrison\n{line}\n").build_algebra()
     assert str(exc.value).startswith(f"line 2, column {column}: ")
+
+
+# short free text, so a number typed into nvars or segre stays below 10**6
+_free = st.text(alphabet=" \t-+*/^:=#.xpqz0123456789", max_size=6)
+_number = st.integers(-3, 12).map(str)
+_value = st.one_of(
+    _number, st.lists(_number, max_size=3).map(" ".join), _free,
+    st.sampled_from(TASKS + ("q", "p:7", "p:1000003", "p:8", "nilpotent 2",
+                             "zero 1", "product nilpotent 2 zero 1")))
+_assignment = st.builds("{} = {}".format, st.sampled_from(sorted(_SCALAR_KEYS)),
+                        _value)
+_poly = st.one_of(st.sampled_from(["x0*x1", "x0^2 - x1*x2", "1/2*x1", "x3", "0"]),
+                  _free)
+_block = st.builds(lambda key, lines: "\n".join([key + ":"] + ["  " + s for s in lines]),
+                   st.sampled_from(sorted(_BLOCK_KEYS)), st.lists(_poly, max_size=3))
+# mostly well-formed lines after a task line, so that many examples parse
+_scenario = st.builds(
+    lambda head, lines: "\n".join(head + lines),
+    st.lists(st.sampled_from(TASKS).map("task = {}".format), max_size=1),
+    st.lists(st.one_of(_assignment, _assignment, _block, _free), max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scenario)
+def test_any_text_parses_or_is_a_validation_error(text):
+    try:
+        parse_scenario(text)
+    except ValidationError:
+        pass
