@@ -210,6 +210,18 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_text(path: str) -> str:
+    """The text of a scenario file; a located error if it is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValidationError(
+            f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="idealtangent",
@@ -235,8 +247,7 @@ def main(argv=None) -> int:
 
     started = time.monotonic()
     try:
-        with open(args.scenario, encoding="utf-8") as fh:
-            sc = parse_scenario(fh.read())
+        sc = parse_scenario(_read_text(args.scenario))
         if sc.task != args.command:
             raise ValidationError(
                 f"scenario declares task {sc.task!r} but the "
@@ -247,6 +258,14 @@ def main(argv=None) -> int:
             report = run_sweep(sc, threads=max(1, args.threads))
         else:
             report = _RUNNERS[sc.task](sc)
+        elapsed = time.monotonic() - started
+        if args.timing:
+            report["timing_seconds"] = round(elapsed, 3)
+        payload = (json.dumps(report, indent=2, sort_keys=True) + "\n"
+                   if args.json else render_text(report))
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -260,15 +279,7 @@ def main(argv=None) -> int:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    elapsed = time.monotonic() - started
-    if args.timing:
-        report["timing_seconds"] = round(elapsed, 3)
-    payload = (json.dumps(report, indent=2, sort_keys=True) + "\n"
-               if args.json else render_text(report))
     sys.stdout.write(payload)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
     print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
     if sc.task == "compare" and not report.get("all_match", True):
         return EXIT_MISMATCH

@@ -122,20 +122,17 @@ def mapping_fiber(f: ChainMap) -> CochainComplex:
              for (i, j) in set(S.terms) | {(i + 1, j) for (i, j) in T.terms}}
     diffs = {}
     for (i, j) in terms:
-        rs, ns = S.dim(i + 1, j), S.dim(i, j)
-        ent = {}
         d_s = S.diffs.get((i, j))
-        if d_s is not None:
-            ent.update(d_s.entries)
         f_i = f.components.get((i, j))
-        if f_i is not None:
-            for (a, b), v in f_i.entries.items():
-                ent[(rs + a, b)] = v
         d_t = T.diffs.get((i - 1, j))
-        if d_t is not None:
-            for (a, b), v in d_t.entries.items():
-                ent[(rs + a, ns + b)] = -v
-        if ent:
-            diffs[(i, j)] = Matrix(rs + T.dim(i, j), ns + T.dim(i - 1, j),
-                                   ent, field)
+        if d_s is None and f_i is None and d_t is None:
+            continue
+        ns, nt = S.dim(i, j), T.dim(i, j)
+        top = d_s.rows if d_s is not None else [{}] * S.dim(i + 1, j)
+        left = f_i.rows if f_i is not None else [{}] * nt
+        right = d_t.rows if d_t is not None else [{}] * nt
+        # rows of (d_S, 0) over rows of (f_i, -d_T); from_rows reduces -v
+        rows = top + [{**a, **{ns + b: -v for b, v in c.items()}}
+                      for a, c in zip(left, right)]
+        diffs[(i, j)] = Matrix.from_rows(rows, ns + T.dim(i - 1, j), field)
     return CochainComplex(terms, diffs, field)

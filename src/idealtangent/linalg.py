@@ -4,7 +4,13 @@ Vectors are dicts {index: scalar} with no explicit zeros, and every scalar
 a ``Matrix`` or a returned vector holds is canonical: a Fraction over QQ,
 an int in [1, p) over GF(p).  Products and sums are formed with the Python
 operators on raw values and reduced once, by ``field.coerce``, where the
-matrix or vector is produced (``Matrix.__init__`` and ``fields.reduced``).
+matrix or vector is produced (the ``Matrix`` constructors and
+``fields.reduced``).
+
+A ``Matrix`` is its list of row vectors, the layout ``Echelon`` eliminates
+on, plus a column view built once.  Its COO view ``entries`` is built on
+first read, for readers outside the package (``bench/tracing.py`` and the
+tests) until an in-package trace replaces that tracer.
 
 ``Echelon`` keeps integer rows: over QQ primitive vectors (denominators
 cleared, content divided out, leading entry positive), over GF(p) residues
@@ -15,12 +21,9 @@ column the first candidate row wins, so all reported bases are reproducible.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter
 
-from .errors import InternalCheckError
 from .fields import QQ, reduced
 
 
@@ -205,28 +208,37 @@ class Quotient:
         return {position[c]: v for c, v in residue.items()}
 
 
-_column = itemgetter(1)
-
-
 class Matrix:
-    """A sparse exact matrix; entries is {(i, j): scalar}, set once in __init__."""
+    """A sparse exact matrix: ``rows[i]`` is row ``i`` as a vector, the
+    layout ``Echelon`` eliminates on.
 
-    __slots__ = ("nrows", "ncols", "entries", "field", "_col_keys")
+    Built once, by the COO constructor from {(i, j): scalar} or by
+    ``from_rows`` or ``from_cols``, each coercing once.  ``col`` and ``cols``
+    read a column view built on first use.  ``entries``, the COO view, is
+    built on first read for the benchmark's tracer and the tests; no module
+    of the package reads it.
+    """
+
+    __slots__ = ("nrows", "ncols", "field", "rows", "_cols", "_entries")
 
     def __init__(self, nrows: int, ncols: int, entries: dict, field=QQ):
-        self.nrows = nrows
-        self.ncols = ncols
-        self.field = field
         coerce = field.coerce
-        ent = {}
+        rows = [{} for _ in range(nrows)]
         for (i, j), v in entries.items():
             cv = coerce(v)
             if cv:
                 if not (0 <= i < nrows and 0 <= j < ncols):
                     raise IndexError(f"entry {(i, j)} outside {nrows}x{ncols}")
-                ent[(i, j)] = cv
-        self.entries = ent
-        self._col_keys = None
+                rows[i][j] = cv
+        self.nrows, self.ncols, self.field, self.rows = nrows, ncols, field, rows
+        self._cols = self._entries = None
+
+    @classmethod
+    def _of_rows(cls, nrows, ncols, rows, field) -> "Matrix":
+        """A matrix holding ``rows``, which are already canonical."""
+        m = cls(0, ncols, {}, field)
+        m.nrows, m.rows = nrows, rows
+        return m
 
     @classmethod
     def zeros(cls, nrows, ncols, field=QQ):
@@ -238,98 +250,87 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows, ncols, field=QQ):
-        ent = {}
+        out = []
         for i, row in enumerate(rows):
-            for j, v in row.items():
-                ent[(i, j)] = v
-        return cls(len(rows), ncols, ent, field)
+            row = reduced(field, row)
+            if row and (min(row) < 0 or max(row) >= ncols):
+                raise IndexError(f"row {i} has a column outside 0..{ncols - 1}")
+            out.append(row)
+        return cls._of_rows(len(out), ncols, out, field)
 
     @classmethod
     def from_cols(cls, cols, nrows, field=QQ):
-        ent = {}
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                ent[(i, j)] = v
-        return cls(nrows, len(cols), ent, field)
+        return cls.from_rows(cols, nrows, field).transpose()
 
-    def rows(self) -> list[dict]:
-        out = [dict() for _ in range(self.nrows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
+    @property
+    def entries(self) -> dict:
+        """The COO view {(i, j): scalar}, built once."""
+        if self._entries is None:
+            self._entries = {(i, j): v for i, row in enumerate(self.rows)
+                             for j, v in row.items()}
+        return self._entries
+
+    def _columns(self) -> list[dict]:
+        cols = [{} for _ in range(self.ncols)]
+        for i, row in enumerate(self.rows):
+            for j, v in row.items():
+                cols[j][i] = v
+        return cols
+
+    def _col_view(self) -> list[dict]:
+        if self._cols is None:
+            self._cols = self._columns()
+        return self._cols
 
     def cols(self) -> list[dict]:
-        out = [dict() for _ in range(self.ncols)]
-        for (i, j), v in self.entries.items():
-            out[j][i] = v
-        return out
+        return [dict(c) for c in self._col_view()]
 
     def col(self, j) -> dict:
-        """A copy of column ``j``, found by bisection in the keys, which are
-        sorted by column on first use (stably, so rows keep their order)."""
-        if self._col_keys is None:
-            self._col_keys = sorted(self.entries, key=_column)
-        keys, ent = self._col_keys, self.entries
-        lo = bisect_left(keys, j, key=_column)
-        hi = bisect_right(keys, j, lo, key=_column)
-        return {k[0]: ent[k] for k in keys[lo:hi]}
+        """A copy of column ``j``, read from the column view."""
+        return dict(self._col_view()[j])
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ncols, self.nrows,
-                      {(j, i): v for (i, j), v in self.entries.items()},
-                      self.field)
+        return Matrix._of_rows(self.ncols, self.nrows, self._columns(), self.field)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not any(self.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.nrows == other.nrows
                 and self.ncols == other.ncols and self.field == other.field
-                and self.entries == other.entries)
+                and self.rows == other.rows)
 
     def __hash__(self):
         raise TypeError("Matrix is not hashable")
 
     def scale(self, c) -> "Matrix":
-        return Matrix(self.nrows, self.ncols,
-                      {k: c * v for k, v in self.entries.items()}, self.field)
+        return Matrix.from_rows([{j: c * v for j, v in row.items()}
+                                 for row in self.rows], self.ncols, self.field)
 
     def mul(self, other) -> "Matrix":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matrix product")
-        by_row: dict[int, dict[int, object]] = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(i, {})[k] = v
-        o_by_row: dict[int, dict[int, object]] = {}
-        for (k, j), v in other.entries.items():
-            o_by_row.setdefault(k, {})[j] = v
         F = self.field
-        ent = {}
-        for i, row in by_row.items():
+        orows = other.rows
+        out = []
+        for row in self.rows:
             acc: dict[int, object] = {}
             for k, a in row.items():
-                orow = o_by_row.get(k)
-                if not orow:
-                    continue
-                for j, b in orow.items():
+                for j, b in orows[k].items():
                     acc[j] = acc.get(j, 0) + a * b
             # reduced row by row, so a vanishing product (every d∘d check)
             # never holds its zero sums all at once
-            for j, v in reduced(F, acc).items():
-                ent[(i, j)] = v
-        return Matrix(self.nrows, other.ncols, ent, F)
+            out.append(reduced(F, acc))
+        return Matrix._of_rows(self.nrows, other.ncols, out, F)
 
     def times_vec(self, vec: dict) -> dict:
-        out: dict[int, object] = {}
-        for (i, j), v in self.entries.items():
-            x = vec.get(j)
-            if x is not None:
-                out[i] = out.get(i, 0) + v * x
-        return reduced(self.field, out)
+        return reduced(self.field, {
+            i: sum(v * vec[j] for j, v in row.items() if j in vec)
+            for i, row in enumerate(self.rows)})
 
     def echelon(self) -> Echelon:
         ech = Echelon(self.field)
-        for row in self.rows():
+        for row in self.rows:
             if row:
                 ech.insert(row)
         return ech
@@ -362,15 +363,3 @@ class Matrix:
                 col = _primitive(_clear_denominators(col)[0])
             cols.append(col)
         return Matrix.from_cols(cols, self.ncols, self.field)
-
-
-def check_rank_consistency(m: Matrix):
-    """Recompute the rank with the column order reversed; raise on mismatch."""
-    r1 = m.rank()
-    flipped = Matrix(m.nrows, m.ncols,
-                     {(i, m.ncols - 1 - j): v for (i, j), v in m.entries.items()},
-                     m.field)
-    r2 = flipped.rank()
-    if r1 != r2:
-        raise InternalCheckError(f"rank mismatch under pivot reorder: {r1} vs {r2}")
-    return r1

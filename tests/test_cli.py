@@ -81,6 +81,12 @@ def test_compare_mismatch_exits_3(tmp_path, capsys):
     assert any(c["verdict"] == "MISMATCH" for c in report["comparisons"])
 
 
+def _cli_subprocess(*argv):
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    return subprocess.run([sys.executable, "-m", "idealtangent.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("task,line", [("tangent", "m = one"),
                                        ("harrison", "algebra = nilpotent x"),
                                        ("tangent", "nvars = 0"),
@@ -99,13 +105,29 @@ def test_bad_integer_exits_1_without_traceback(tmp_path, task, line):
     bad = tmp_path / "bad.txt"
     bad.write_text(f"task = {task}\nnvars = 2\nwindow = 2 5\n{line}\n"
                    "z_gens:\n  x0*x1\n")
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
-    proc = subprocess.run([sys.executable, "-m", "idealtangent.cli", task,
-                           str(bad)], capture_output=True, text=True, env=env,
-                          timeout=120)
+    proc = _cli_subprocess(task, str(bad))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert "validation error: line 4, column" in proc.stderr
+
+
+def test_unwritable_out_exits_1_without_traceback(tmp_path):
+    target = tmp_path / "missing" / "r.json"
+    proc = _cli_subprocess("tangent", str(SCENARIOS / "points_on_line.txt"),
+                           "--out", str(target))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "validation error:" in proc.stderr and str(target) in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_non_utf8_scenario_exits_1_without_traceback(tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"task = tangent\nnvars = 2\n# caf\xe9\n")
+    proc = _cli_subprocess("tangent", str(bad))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert f"validation error: {bad}: line 3: not valid UTF-8" in proc.stderr
 
 
 def test_task_subcommand_mismatch_exits_1(capsys):

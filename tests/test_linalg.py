@@ -1,14 +1,17 @@
 """Exact linear algebra: worked examples plus randomized properties."""
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idealtangent.complexes import ChainMap, CochainComplex
 from idealtangent.fields import QQ, PrimeField, reduced
 from idealtangent.graded import FiniteGradedAlgebra
-from idealtangent.linalg import Echelon, Matrix, Quotient, check_rank_consistency
+from idealtangent.linalg import Echelon, Matrix, Quotient
 
 
 def dense_rank_reference(rows, ncols, F=QQ):
@@ -100,7 +103,6 @@ def test_rank_nullity_and_kernel_annihilation(rows):
     assert r + k.ncols == ncols
     assert m.mul(k).is_zero()
     assert k.rank() == k.ncols  # kernel columns independent
-    assert check_rank_consistency(m) == r
     assert m.transpose().rank() == r
 
 
@@ -166,6 +168,17 @@ def test_echelon_rank_matches_dense_reference(F, rows_ncols):
     assert ech.rank == dense_rank_reference(rows, ncols, F)
     ech.full_reduce()
     assert ech.rank == dense_rank_reference(rows, ncols, F)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields, sparse_rows, st.data())
+def test_rank_is_invariant_under_row_and_column_permutations(F, rows_ncols, data):
+    rows, ncols = rows_ncols
+    row_perm = data.draw(st.permutations(range(len(rows))))
+    col_perm = data.draw(st.permutations(range(ncols)))
+    permuted = [{col_perm[j]: v for j, v in rows[i].items()} for i in row_perm]
+    assert (Matrix.from_rows(permuted, ncols, F).rank()
+            == Matrix.from_rows(rows, ncols, F).rank())
 
 
 @settings(max_examples=150, deadline=None)
@@ -298,3 +311,69 @@ def test_products_match_a_dense_reference_and_are_canonical(F, n, k, m, c, data)
     got = alg.multiply(0, u, 0, vec)
     assert got == {r: v for r, v in prod.items() if v}
     assert _is_canonical(F, got.values())
+
+
+# -- the row layout: every constructor and view holds the same matrix --
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "idealtangent"
+layout_fields = st.sampled_from([QQ, PrimeField(7)])
+raw_scalars = st.one_of(st.just(0), scalars, st.integers(-20, 20))
+
+
+@settings(max_examples=150, deadline=None)
+@given(layout_fields, st.integers(1, 5), st.integers(1, 5), st.data())
+def test_constructors_and_views_agree(F, n, k, data):
+    cells = data.draw(st.lists(raw_scalars, min_size=n * k, max_size=n * k))
+    coo = {(i, j): cells[i * k + j] for i in range(n) for j in range(k)}
+    m = Matrix(n, k, coo, F)
+    assert m.entries == {ij: F.coerce(v) for ij, v in coo.items() if F.coerce(v)}
+    assert Matrix.from_rows([{j: coo[i, j] for j in range(k)} for i in range(n)],
+                            k, F) == m
+    assert Matrix.from_cols([{i: coo[i, j] for i in range(n)} for j in range(k)],
+                            n, F) == m
+    t = m.transpose()
+    assert m.cols() == t.rows
+    assert [m.col(j) for j in range(k)] == t.rows
+    assert t.transpose() == m
+    for build in (lambda: Matrix(n, k, {(n, 0): 1}, F),
+                  lambda: Matrix(n, k, {(0, -1): 1}, F),
+                  lambda: Matrix.from_rows([{k: 1}], k, F),
+                  lambda: Matrix.from_rows([{-1: 1}], k, F),
+                  lambda: Matrix.from_cols([{n: 1}], n, F)):
+        with pytest.raises(IndexError):
+            build()
+    assert Matrix(n, k, {(n, k): 0}, F).is_zero()
+
+
+@settings(max_examples=100, deadline=None)
+@given(layout_fields, st.integers(1, 4), st.integers(1, 4), raw_scalars,
+       st.data())
+def test_mapping_fiber_is_the_block_matrix(F, a, b, c, data):
+    # S = T = (F^a --d--> F^b) and f = c * identity; the fiber's
+    # differentials are [d; c] and [c | -d]
+    cells = data.draw(st.lists(raw_scalars, min_size=a * b, max_size=a * b))
+    d = {(i, j): cells[i * a + j] for i in range(b) for j in range(a)}
+    cx = CochainComplex({(0, 0): a, (1, 0): b}, {(0, 0): Matrix(b, a, d, F)}, F)
+    f = ChainMap(cx, cx, {(0, 0): Matrix.identity(a, F).scale(c),
+                          (1, 0): Matrix.identity(b, F).scale(c)})
+    d0 = dict(d)
+    d0.update({(b + k, k): c for k in range(a)})
+    d1 = {(k, k): c for k in range(b)}
+    d1.update({(i, b + j): -v for (i, j), v in d.items()})
+    assert f.fiber.diff(0) == Matrix(b + a, a, d0, F)
+    assert f.fiber.diff(1) == Matrix(b, b + a, d1, F)
+
+
+def entries_readers(source: str) -> list:
+    """Lines of ``source`` that read an attribute named ``entries``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == "entries"]
+
+
+def test_no_module_but_linalg_reads_the_coo_view():
+    assert entries_readers("n = len(m.entries)\nm.entries.items()") == [1, 2]
+    assert entries_readers("entries = {}\nm.rows[0]") == []
+    found = [f"{path.name}:{line}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "linalg.py"
+             for line in entries_readers(path.read_text())]
+    assert not found, "read the rows or the column view instead: " + ", ".join(found)
