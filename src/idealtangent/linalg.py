@@ -16,8 +16,13 @@ tests) until an in-package trace replaces that tracer.
 cleared, content divided out, leading entry positive), over GF(p) residues
 with monic pivot rows.  One row update, ``_combine``, does every elimination in
 both fields by fraction-free cross-multiplication, reduced mod p over GF(p).
-Pivoting is deterministic: columns are processed left to right and within a
-column the first candidate row wins, so all reported bases are reproducible.
+Reported bases pivot canonically: ``echelon``, ``kernel_basis``, ``reduce``,
+``Quotient`` and every cohomology representative insert rows as given and
+pivot left to right, so they are reproducible.  Rank-only elimination,
+``Matrix.rank``, feeds the same ``Echelon.insert`` along the smaller
+dimension in a fill-reducing order instead: the other dimension's indices
+relabelled by ascending nonzero count, the vectors inserted shortest first.
+A rank does not depend on the order, and sparse pivots keep the fill low.
 """
 from __future__ import annotations
 
@@ -35,6 +40,8 @@ def _primitive(ints: dict, p: int = 0) -> dict:
     g = 0
     for v in ints.values():
         g = gcd(g, v)
+        if g == 1:
+            break
     if ints[min(ints)] < 0:
         g = -g
     if g == 1:
@@ -70,7 +77,7 @@ def _combine(work: dict, piv: dict, c: int, p: int) -> tuple[dict, int, int]:
     else:
         g = gcd(a, b)
         fa, fb = b // g, a // g
-    nxt = dict(work) if p else {k: fa * v for k, v in work.items()}
+    nxt = dict(work) if fa == 1 else {k: fa * v for k, v in work.items()}
     for k, v in piv.items():
         nv = nxt.get(k, 0) - fb * v
         if p:
@@ -208,6 +215,15 @@ class Quotient:
         return {position[c]: v for c, v in residue.items()}
 
 
+def _transposed(rows: list[dict], ncols: int) -> list[dict]:
+    """The columns of ``rows``, as vectors indexed by row position."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols
+
+
 class Matrix:
     """A sparse exact matrix: ``rows[i]`` is row ``i`` as a vector, the
     layout ``Echelon`` eliminates on.
@@ -270,16 +286,9 @@ class Matrix:
                              for j, v in row.items()}
         return self._entries
 
-    def _columns(self) -> list[dict]:
-        cols = [{} for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                cols[j][i] = v
-        return cols
-
     def _col_view(self) -> list[dict]:
         if self._cols is None:
-            self._cols = self._columns()
+            self._cols = _transposed(self.rows, self.ncols)
         return self._cols
 
     def cols(self) -> list[dict]:
@@ -290,7 +299,8 @@ class Matrix:
         return dict(self._col_view()[j])
 
     def transpose(self) -> "Matrix":
-        return Matrix._of_rows(self.ncols, self.nrows, self._columns(), self.field)
+        return Matrix._of_rows(self.ncols, self.nrows,
+                               _transposed(self.rows, self.ncols), self.field)
 
     def is_zero(self) -> bool:
         return not any(self.rows)
@@ -336,10 +346,24 @@ class Matrix:
         return ech
 
     def rank(self) -> int:
-        # eliminate along the smaller dimension
-        if self.nrows > self.ncols:
-            return self.transpose().echelon().rank
-        return self.echelon().rank
+        """One ``echelon`` along the smaller dimension, in the fill-reducing
+        order: the other dimension's indices relabelled by ascending nonzero
+        count, the vectors inserted shortest first."""
+        vecs, n = self.rows, self.ncols
+        if self.nrows > n:
+            # transposing the rows shortest first labels them by their count
+            vecs, n = _transposed(sorted(vecs, key=len), n), self.nrows
+        else:
+            count = [0] * n
+            for vec in vecs:
+                for j in vec:
+                    count[j] += 1
+            label = [0] * n
+            for new, j in enumerate(sorted(range(n), key=count.__getitem__)):
+                label[j] = new
+            vecs = [{label[j]: v for j, v in vec.items()} for vec in vecs]
+        vecs.sort(key=len)
+        return Matrix._of_rows(len(vecs), n, vecs, self.field).echelon().rank
 
     def nullity(self) -> int:
         return self.ncols - self.rank()

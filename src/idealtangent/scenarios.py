@@ -31,6 +31,9 @@ _SCALAR_KEYS = {"task", "field", "nvars", "segre", "window", "p_range",
 _BLOCK_KEYS = {"x_gens", "z_gens", "ci_gens"}
 #: smallest accepted value of the integer keys that have one
 _LEAST = {"nvars": 1, "weight": 1, "arity_cap": 2, "max_i": 0, "d_max": 0}
+#: most ambient variables, from nvars or segre; checked before any polynomial
+#: is parsed, since every term holds an exponent list of that length
+NVARS_CAP = 1000
 
 
 @dataclass
@@ -100,7 +103,8 @@ def _intlist(value: str, key: str, lineno: int, col: int):
                               f"integers, got {value!r}") from None
 
 
-def _int(value: str, key: str, lineno: int, col: int, least=None) -> int:
+def _int(value: str, key: str, lineno: int, col: int, least=None,
+         most=None) -> int:
     try:
         n = int(value)
     except ValueError:
@@ -109,6 +113,9 @@ def _int(value: str, key: str, lineno: int, col: int, least=None) -> int:
     if least is not None and n < least:
         raise ValidationError(f"line {lineno}, column {col}: {key} must be "
                               f"at least {least}, got {n}")
+    if most is not None and n > most:
+        raise ValidationError(f"line {lineno}, column {col}: {key} must be "
+                              f"at most {most}, got {n}")
     return n
 
 
@@ -162,6 +169,10 @@ def parse_scenario(text: str) -> Scenario:
                 raise ValidationError(
                     f"line {lineno}, column {col}: segre expects two "
                     f"dimensions, each at least 0, got {value!r}")
+            if (pair[0] + 1) * (pair[1] + 1) > NVARS_CAP:
+                raise ValidationError(
+                    f"line {lineno}, column {col}: segre {value!r} needs "
+                    f"more than {NVARS_CAP} ambient variables")
             sc.segre = pair
         elif key == "window":
             pair = _intlist(value, key, lineno, col)
@@ -176,7 +187,8 @@ def parse_scenario(text: str) -> Scenario:
             sc.q_range = _intlist(value, key, lineno, col)
         elif key in ("nvars", "m", "weight", "arity_cap", "twist", "max_i",
                      "d_max"):
-            setattr(sc, key, _int(value, key, lineno, col, _LEAST.get(key)))
+            setattr(sc, key, _int(value, key, lineno, col, _LEAST.get(key),
+                                  NVARS_CAP if key == "nvars" else None))
         elif key == "algebra":
             sc.algebra_spec = tuple(value.split())
             sc.algebra_at = (lineno, col)

@@ -99,6 +99,8 @@ def _cli_subprocess(*argv):
                                        ("tangent", "segre = -1 -1"),
                                        ("tangent", "segre = 1 -1"),
                                        ("rmap", "segre = -3 -3"),
+                                       ("tangent", "nvars = 1000000000"),
+                                       ("rmap", "segre = 999 999"),
                                        ("oracle", "max_i = -3"),
                                        ("truncate", "d_max = -1")])
 def test_bad_integer_exits_1_without_traceback(tmp_path, task, line):

@@ -170,6 +170,40 @@ def test_echelon_rank_matches_dense_reference(F, rows_ncols):
     assert ech.rank == dense_rank_reference(rows, ncols, F)
 
 
+def test_rank_is_one_echelon_in_the_fill_reducing_order(monkeypatch):
+    seen = []
+    echelon = Matrix.echelon
+
+    def recording(m):
+        seen.append(m)
+        return echelon(m)
+
+    monkeypatch.setattr(Matrix, "echelon", recording)
+    # column 0 has the most nonzeros, so it is relabelled last (2)
+    wide = Matrix.from_rows([{0: 1, 1: 1, 2: 1}, {0: 1}], 3)
+    assert wide.rank() == 2 and len(seen) == 1
+    assert seen[0].rows == [{2: 1}, {0: 1, 1: 1, 2: 1}]
+    # a tall matrix is eliminated along its columns, its short rows labelled first
+    assert wide.transpose().rank() == 2 and len(seen) == 2
+    assert seen[1].rows == [{2: 1}, {0: 1, 1: 1, 2: 1}]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields, sparse_rows, st.booleans())
+def test_ordered_rank_matches_canonical_insertion_and_dense_reference(F, rows_ncols,
+                                                                      transpose):
+    # Matrix.rank eliminates in its fill-reducing order; echelon_of inserts
+    # the rows as given and pivots left to right.  Wide and tall shapes are
+    # both drawn, and transposing swaps the side Matrix.rank eliminates along.
+    rows, ncols = rows_ncols
+    if transpose:
+        rows, ncols = [{i: row[j] for i, row in enumerate(rows) if j in row}
+                       for j in range(ncols)], len(rows)
+    rank = Matrix.from_rows(rows, ncols, F).rank()
+    assert rank == echelon_of(rows, F).rank
+    assert rank == dense_rank_reference(rows, ncols, F)
+
+
 @settings(max_examples=150, deadline=None)
 @given(kernel_fields, sparse_rows, st.data())
 def test_rank_is_invariant_under_row_and_column_permutations(F, rows_ncols, data):

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from idealtangent.errors import ValidationError
 from idealtangent.fields import QQ, PrimeField
-from idealtangent.scenarios import TASKS, _BLOCK_KEYS, _SCALAR_KEYS, parse_scenario
+from idealtangent.scenarios import (NVARS_CAP, TASKS, _BLOCK_KEYS, _SCALAR_KEYS,
+                                    parse_scenario)
 
 GOOD = """
 # two points on the projective line
@@ -108,6 +109,10 @@ def test_algebra_specs():
     ("segre = 1 -1", 9),
     ("segre = -3 -3", 9),
     ("segre = 1", 9),
+    ("nvars = 1001", 9),
+    ("nvars = 1000000000", 9),
+    ("segre = 31 31", 9),
+    ("segre = 0 1000", 9),
     ("max_i = -3", 9),
     ("d_max = -1", 9),
 ])
@@ -115,6 +120,13 @@ def test_bad_integer_is_a_located_validation_error(line, column):
     with pytest.raises(ValidationError) as exc:
         parse_scenario(f"task = harrison\n{line}\n").build_algebra()
     assert str(exc.value).startswith(f"line 2, column {column}: ")
+
+
+def test_ambient_size_at_the_cap_is_accepted():
+    sc = parse_scenario(f"task = tangent\nnvars = {NVARS_CAP}\nz_gens:\n"
+                        f"  x{NVARS_CAP - 1}^2\n")
+    assert len(sc.z_gens) == 1
+    assert parse_scenario("task = rmap\nsegre = 24 39\n").ambient_nvars() == NVARS_CAP
 
 
 # short free text, so a number typed into nvars or segre stays below 10**6

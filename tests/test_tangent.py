@@ -1,13 +1,17 @@
 """Derived tangent pipeline: calibration anchors and stabilization."""
 from collections import Counter
+from functools import cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealtangent.cicech import CIData, ci_normal_cohomology
 from idealtangent.errors import BudgetError
 from idealtangent.fields import QQ, PrimeField
 from idealtangent.graded import HomIdealPresentation, coordinate_ring_truncation
 from idealtangent.harrison import HarrisonComplex, HarrisonWeightSpace
+from idealtangent.polynomials import Poly
 from idealtangent.idealpoints import subscheme_to_point
 from idealtangent.tangent import (derived_tangent, rmap_tangent,
                                   segre_presentation, stabilization_sweep,
@@ -81,6 +85,35 @@ def test_derived_tangent_prime_field_agrees():
         rq = tangent_at_subscheme(P1, TWO_POINTS, p, q, 1, field=QQ)
         rp = tangent_at_subscheme(P1, TWO_POINTS, p, q, 1, field=F)
         assert rq.dims == rp.dims
+
+
+def _det3(a):
+    return (a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
+
+
+_coordinate_changes = st.lists(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                               min_size=3, max_size=3).filter(lambda a: _det3(a) != 0)
+
+
+@cache
+def _conic_dims(F, q):
+    return tangent_at_subscheme(P2, CONIC, 2, q, 1, field=F).dims
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([QQ, PrimeField(1000003)]), st.sampled_from([4, 5]),
+       _coordinate_changes)
+def test_conic_dims_are_invariant_under_a_change_of_coordinates(F, q, a):
+    # y = a x is invertible over both fields: 0 < |det a| <= 41 (Hadamard).
+    # At [2,4] the dims are (26, 0); [2,5] gives (5, 144), a nonzero H^1.
+    y = [Poly.zero(3) for _ in range(3)]
+    for r in range(3):
+        for i in range(3):
+            y[r] = y[r].add(Poly.variable(3, i).scale(a[r][i]))
+    conic = HomIdealPresentation(3, (y[0].mul(y[0]).sub(y[1].mul(y[2])),))
+    assert tangent_at_subscheme(P2, conic, 2, q, 1, field=F).dims == _conic_dims(F, q)
 
 
 def test_segre_presentation_quadric():
