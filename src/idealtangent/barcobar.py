@@ -118,12 +118,11 @@ class BarCom:
         for k in range(n - 1):
             perm = list(range(n))
             perm[k], perm[k + 1] = perm[k + 1], perm[k]
-            entries = {}
-            for j, el in enumerate(basis.elements):
-                img = tree_sn_action(self.gens, {el: self.field.one}, tuple(perm))
-                for el2, v in img.items():
-                    entries[(basis.index[el2], j)] = v
-            mats.append(Matrix(basis.dim, basis.dim, entries, self.field))
+            images = (tree_sn_action(self.gens, {el: self.field.one}, tuple(perm))
+                      for el in basis.elements)
+            mats.append(Matrix.from_cols(
+                [{basis.index[el2]: v for el2, v in img.items()} for img in images],
+                basis.dim, self.field))
         return mats
 
     def _contractions(self, el: TreeBasisElement):
@@ -351,8 +350,3 @@ def _cobar_component_sign(n, subset, k, m) -> int:
 def cobar_lie_dual(n_cap=4, field=QQ) -> CobarOperad:
     """The small resolution: Cobar of the duals of the Lie pieces."""
     return CobarOperad(LieDualCooperad(n_cap, field), n_cap, field)
-
-
-def cobar(coop, n_cap=None, field=QQ) -> CobarOperad:
-    return CobarOperad(coop, n_cap, field)
-

@@ -222,8 +222,15 @@ def _read_text(path: str) -> str:
             f"{path}: line {line}: not valid UTF-8 ({exc.reason})") from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 as validation errors; 2 means a budget cap."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="idealtangent",
         description="Exact tangent data of schemes of graded ideals in "
                     "truncated coordinate rings.")
@@ -236,15 +243,19 @@ def main(argv=None) -> int:
                         help="machine-readable output")
         sp.add_argument("--field", default=None,
                         help="override the scenario field: q or p:<prime>")
-        sp.add_argument("--threads", type=int, default=1,
-                        help="parallel window bound for sweep tasks")
+        if task == "sweep":
+            sp.add_argument("--threads", type=int, default=1,
+                            help="parallel window bound")
         sp.add_argument("--out", default=None,
                         help="also write the report to this path")
         sp.add_argument("--timing", action="store_true",
                         help="append wall-clock timing to the report "
                              "(breaks byte-for-byte determinism)")
-    args = parser.parse_args(argv)
-
+    try:
+        args = parser.parse_args(argv)
+    except ValidationError as exc:
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     started = time.monotonic()
     try:
         sc = parse_scenario(_read_text(args.scenario))

@@ -7,6 +7,11 @@ exact polynomial fitting, and Veronese re-gradings.  The basis of each
 truncated piece A_d = S_d / I_d is chosen by ``linalg.Quotient``, the one
 place any quotient basis in the engine is chosen.
 
+Multiplication and action tables share one bilinear layout, known only
+here: column ``a * dim(B_j) + b`` of the table for degrees (i, j) is the
+image of the basis pair (a, b).  ``table`` writes it, for every algebra
+and module in the engine, and ``_bilinear`` reads it.
+
 An "ungraded" toy algebra is the single-degree case: everything sits in
 degree 0 and 0+0=0 keeps all products in the window, so one code path
 serves both the windowed coordinate rings and the small test algebras.
@@ -59,6 +64,14 @@ def ideal_degree_piece(pres: HomIdealPresentation, d: int, field=QQ) -> Echelon:
     return ech
 
 
+def table(F, nrows: int, left: int, right: int, product) -> Matrix:
+    """The bilinear table of ``product(a, b)`` over the basis pairs of
+    ``range(left)`` x ``range(right)``: column ``a * right + b`` holds the
+    image of (a, b), a vector of length ``nrows``."""
+    return Matrix.from_cols([product(a, b) for a in range(left)
+                             for b in range(right)], nrows, F)
+
+
 def _bilinear(tables: dict, dims: dict, F, i: int, va, j: int, vb) -> dict:
     """Apply the bilinear table ``tables[(i, j)]`` to ``va`` and ``vb``.
 
@@ -90,7 +103,7 @@ class FiniteGradedAlgebra:
     Commutativity and associativity are verified exactly at construction.
     """
 
-    def __init__(self, field, dims: dict, mult: dict, labels=None, check=True):
+    def __init__(self, field, dims: dict, mult: dict, labels=None):
         self.field = field
         self.dims = {d: n for d, n in dims.items() if n}
         self.degrees = sorted(self.dims)
@@ -100,8 +113,7 @@ class FiniteGradedAlgebra:
         for (i, j), m in mult.items():
             if i in self.dims and j in self.dims and i + j in self.dims:
                 self.mult[(i, j)] = m
-        if check:
-            self._check_tables()
+        self._check_tables()
 
     @property
     def total_dim(self) -> int:
@@ -159,13 +171,15 @@ class FiniteGradedAlgebra:
 class AlgebraModule:
     """A graded module over a FiniteGradedAlgebra with explicit action tables.
 
-    action[(i, e)] maps A_i (x) M_e -> M_{i+e} with column index
-    a_idx * dim(M_e) + m_idx.  Coefficients in another algebra B reached
-    through a homomorphism f: A -> B act by a.m := f(a) * m.
+    action[(i, e)] maps A_i (x) M_e -> M_{i+e} in the layout of ``table``,
+    column a_idx * dim(M_e) + m_idx, and is read by ``_bilinear``.  The
+    tables come from ``regular`` (the multiplication tables) or from
+    ``through`` (another algebra B reached through a homomorphism
+    f: A -> B, acting by a.m := f(a) * m); neither is checked again here.
     """
 
     def __init__(self, algebra: FiniteGradedAlgebra, dims: dict, action: dict,
-                 labels=None, check=True):
+                 labels=None):
         self.algebra = algebra
         self.field = algebra.field
         self.dims = {d: n for d, n in dims.items() if n}
@@ -176,8 +190,6 @@ class AlgebraModule:
         for (i, e), mtx in action.items():
             if i in algebra.dims and e in self.dims and i + e in self.dims:
                 self.action[(i, e)] = mtx
-        if check:
-            self._check_action()
 
     def dim(self, e: int) -> int:
         return self.dims.get(e, 0)
@@ -188,33 +200,32 @@ class AlgebraModule:
     def act(self, i: int, va: dict, e: int, vm: dict) -> dict:
         return _bilinear(self.action, self.dims, self.field, i, va, e, vm)
 
-    def _check_action(self):
-        A = self.algebra
-        for i in A.degrees:
-            for j in A.degrees:
-                if i + j not in A.dims:
-                    continue
-                for e in self.degrees:
-                    if i + j + e not in self.dims:
-                        continue
-                    for a in range(A.dims[i]):
-                        for b in range(A.dims[j]):
-                            vab = A.mult_column(i, a, j, b)
-                            for m in range(self.dims[e]):
-                                lhs = self.act(i + j, vab, e, {m: self.field.one})
-                                vbm = self.act_column(j, b, e, m)
-                                rhs = self.act(i, {a: self.field.one}, j + e, vbm)
-                                if lhs != rhs:
-                                    raise InternalCheckError(
-                                        f"module action not associative at "
-                                        f"degrees {(i, j, e)}")
-
     @classmethod
     def regular(cls, algebra: FiniteGradedAlgebra) -> "AlgebraModule":
         # action tables are the multiplication tables; associativity was
         # already verified on the algebra itself
         return cls(algebra, dict(algebra.dims), dict(algebra.mult),
-                   labels=dict(algebra.labels), check=False)
+                   labels=dict(algebra.labels))
+
+    @classmethod
+    def through(cls, algebra: FiniteGradedAlgebra, target: FiniteGradedAlgebra,
+                components: dict) -> "AlgebraModule":
+        """``target`` as an ``algebra``-module through the homomorphism f
+        whose degree-i component is the matrix ``components[i]`` (absent: 0).
+
+        The caller vouches that f is multiplicative.
+        """
+        F, one = algebra.field, algebra.field.one
+        action = {}
+        for i in algebra.degrees:
+            f = components.get(i)
+            images = f.cols() if f is not None else [{}] * algebra.dims[i]
+            for e in target.degrees:
+                if i + e in target.dims:
+                    action[(i, e)] = table(
+                        F, target.dims[i + e], algebra.dims[i], target.dims[e],
+                        lambda a, m: target.multiply(i, images[a], e, {m: one}))
+        return cls(algebra, dict(target.dims), action, labels=dict(target.labels))
 
 
 class TruncatedCoordinateRing:
@@ -244,28 +255,17 @@ class TruncatedCoordinateRing:
             self.quotient_monomials[d] = qmono
             dims[d] = quo.dim
             labels[d] = [mono_str(m) for m in qmono]
-        mult = {}
-        for i in range(p, q + 1):
-            for j in range(p, q + 1):
-                if i + j > q or not dims.get(i) or not dims.get(j):
-                    continue
-                mult[(i, j)] = self._build_mult(i, j, dims)
+        mult = {(i, j): self._build_mult(i, j, dims) for i in range(p, q + 1)
+                for j in range(p, q - i + 1) if dims[i] and dims[j]}
         self.algebra = FiniteGradedAlgebra(field, dims, mult, labels)
 
     def _build_mult(self, i, j, dims):
-        target = i + j
-        index_t = {m: k for k, m in enumerate(self.monomials[target])}
-        quo = self.quotients[target]
+        index_t = {m: k for k, m in enumerate(self.monomials[i + j])}
+        quo = self.quotients[i + j]
+        mi, mj = self.quotient_monomials[i], self.quotient_monomials[j]
         one = self.field.one
-        entries = {}
-        nb = dims[j]
-        for a, ma in enumerate(self.quotient_monomials[i]):
-            for b, mb in enumerate(self.quotient_monomials[j]):
-                prod = quo.project({index_t[mono_mul(ma, mb)]: one})
-                for r, v in prod.items():
-                    entries[(r, a * nb + b)] = v
-        return Matrix(dims[target], dims[i] * dims[j], entries, self.field)
-
+        return table(self.field, dims[i + j], dims[i], dims[j], lambda a, b:
+                     quo.project({index_t[mono_mul(mi[a], mj[b])]: one}))
 
 
 def coordinate_ring_truncation(presentation: HomIdealPresentation, p: int, q: int,
@@ -368,13 +368,9 @@ def veronese_truncation(algebra: FiniteGradedAlgebra, step: int) -> FiniteGraded
 
 def nilpotent_algebra(k: int, field=QQ) -> FiniteGradedAlgebra:
     """span(x, x^2, ..., x^k) with x^{k+1} = 0, concentrated in degree 0."""
-    entries = {}
-    for a in range(k):
-        for b in range(k):
-            power = a + b + 2
-            if power <= k:
-                entries[(power - 1, a * k + b)] = field.one
-    mult = Matrix(k, k * k, entries, field)
+    # basis index t is x^{t+1}, so x^{a+1} x^{b+1} is index a + b + 1
+    mult = table(field, k, k, k,
+                 lambda a, b: {a + b + 1: field.one} if a + b + 1 < k else {})
     labels = {0: [f"x^{t + 1}" for t in range(k)]}
     return FiniteGradedAlgebra(field, {0: k}, {(0, 0): mult}, labels)
 
@@ -389,19 +385,16 @@ def product_algebra(a: FiniteGradedAlgebra, b: FiniteGradedAlgebra) -> FiniteGra
     """Direct product of two single-degree algebras (componentwise product)."""
     if a.degrees != [0] or b.degrees != [0]:
         raise ValidationError("product_algebra expects single-degree algebras")
-    F = a.field
-    na, nb = a.dims[0], b.dims[0]
-    n = na + nb
-    entries = {}
-    for x in range(n):
-        for y in range(n):
-            if x < na and y < na:
-                col = a.mult_column(0, x, 0, y)
-                for r, v in col.items():
-                    entries[(r, x * n + y)] = v
-            elif x >= na and y >= na:
-                col = b.mult_column(0, x - na, 0, y - na)
-                for r, v in col.items():
-                    entries[(r + na, x * n + y)] = v
+    na, n = a.dims[0], a.dims[0] + b.dims[0]
+
+    def product(x, y):
+        if x < na and y < na:
+            return a.mult_column(0, x, 0, y)
+        if x >= na and y >= na:
+            col = b.mult_column(0, x - na, 0, y - na)
+            return {r + na: v for r, v in col.items()}
+        return {}
+
     labels = {0: [f"a.{s}" for s in a.labels[0]] + [f"b.{s}" for s in b.labels[0]]}
-    return FiniteGradedAlgebra(F, {0: n}, {(0, 0): Matrix(n, n * n, entries, F)}, labels)
+    mult = table(a.field, n, n, n, product)
+    return FiniteGradedAlgebra(a.field, {0: n}, {(0, 0): mult}, labels)

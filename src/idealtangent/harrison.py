@@ -89,30 +89,23 @@ class ShuffleBlock:
         self.comps = tuple(sorted(comps))
         self.e = e
         self.n = len(self.comps[0])
-        self.col_of = {}
-        self.cols = []
-        for ci, comp in enumerate(self.comps):
-            ranges = [range(algebra.dims[d]) for d in comp]
-            for tup in product(*ranges):
-                self.col_of[(ci, tup)] = len(self.cols)
-                self.cols.append((ci, tup))
-        self._comp_index = {c: i for i, c in enumerate(self.comps)}
+        self.cols = [(ci, tup) for ci, comp in enumerate(self.comps)
+                     for tup in product(*(range(algebra.dims[d]) for d in comp))]
+        self.col_of = {key: col for col, key in enumerate(self.cols)}
+        comp_index = {c: i for i, c in enumerate(self.comps)}
         ech = Echelon(algebra.field)
         n = self.n
-        if n > 1:
-            for ci, comp in enumerate(self.comps):
-                ranges = [range(algebra.dims[d]) for d in comp]
-                for tup in product(*ranges):
-                    for p in range(1, n // 2 + 1):
-                        row = {}
-                        for perm, sign in _shuffles(p, n):
-                            ncomp = tuple(comp[k2] for k2 in perm)
-                            ntup = tuple(tup[k2] for k2 in perm)
-                            col = self.col_of[(self._comp_index[ncomp], ntup)]
-                            row[col] = row.get(col, 0) + sign
-                        row = {k: v for k, v in row.items() if v}
-                        if row:
-                            ech.insert(row)
+        # insert drops the zero sums and the empty rows
+        for ci, tup in self.cols:
+            comp = self.comps[ci]
+            for p in range(1, n // 2 + 1):
+                row = {}
+                for perm, sign in _shuffles(p, n):
+                    ncomp = tuple(comp[k] for k in perm)
+                    ntup = tuple(tup[k] for k in perm)
+                    col = self.col_of[(comp_index[ncomp], ntup)]
+                    row[col] = row.get(col, 0) + sign
+                ech.insert(row)
         self.quotient = Quotient(ech, len(self.cols))
         self.std = self.quotient.basis
         self._reduce_cache: dict[int, dict] = {}
@@ -403,7 +396,6 @@ def module_via_homomorphism(algebra_a, algebra_b, components: dict) -> AlgebraMo
     Raises NotAHomomorphismError with the first failing basis pair when f
     is not multiplicative.
     """
-    F = algebra_a.field
     for i in algebra_a.degrees:
         for j in algebra_a.degrees:
             if i + j not in algebra_a.dims:
@@ -421,23 +413,4 @@ def module_via_homomorphism(algebra_a, algebra_b, components: dict) -> AlgebraMo
                         raise NotAHomomorphismError(
                             f"not a homomorphism at degrees {(i, j)}, "
                             f"basis pair ({a}, {b})", witness=(i, a, j, b))
-    action = {}
-    for i in algebra_a.degrees:
-        fi = components.get(i)
-        for e in algebra_b.degrees:
-            if i + e not in algebra_b.dims:
-                continue
-            ne = algebra_b.dims[e]
-            entries = {}
-            for a in range(algebra_a.dims[i]):
-                fa = fi.col(a) if fi is not None else {}
-                if not fa:
-                    continue
-                for m in range(ne):
-                    prod = algebra_b.multiply(i, fa, e, {m: F.one})
-                    for r, v in prod.items():
-                        entries[(r, a * ne + m)] = v
-            action[(i, e)] = Matrix(algebra_b.dims[i + e],
-                                    algebra_a.dims[i] * ne, entries, F)
-    return AlgebraModule(algebra_a, dict(algebra_b.dims), action,
-                         labels=dict(algebra_b.labels), check=False)
+    return AlgebraModule.through(algebra_a, algebra_b, components)

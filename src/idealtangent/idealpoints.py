@@ -5,12 +5,17 @@ ideal test.  The classical tangent space is the space of degree-0 module
 homomorphisms I/I^2 -> A/I, computed as the kernel of an exact linear
 constraint system.  The bases of A/I and of I/I^2 are chosen, and vectors
 projected onto them, by ``linalg.Quotient`` and nowhere else.
+
+The tables of A/I are written by ``graded.table``: its multiplication
+projects products of lifted basis elements, and A/I is an A-module by
+``AlgebraModule.through`` the projection, which is multiplicative because
+``IdealPoint`` verified that I is an ideal.
 """
 from __future__ import annotations
 
 from .errors import InternalCheckError, NotASubschemeError, ValidationError
 from .graded import (AlgebraModule, FiniteGradedAlgebra, HomIdealPresentation,
-                     TruncatedCoordinateRing, ideal_degree_piece)
+                     TruncatedCoordinateRing, ideal_degree_piece, table)
 from .linalg import Echelon, Matrix, Quotient
 
 
@@ -114,11 +119,11 @@ def subscheme_to_point(ring: TruncatedCoordinateRing,
 
 
 class QuotientData:
-    """The quotient algebra A/I with projection and lift matrices.
+    """The quotient algebra A/I with its projection matrices ``proj``.
 
     ``quotients[d]`` is the ``Quotient`` of A_d by the ideal piece I_d; its
-    basis is a set of coordinates of A_d, so lifts are coordinate
-    inclusions.
+    basis is a set of coordinates of A_d, so the lift of basis element a
+    of (A/I)_d is the unit vector at ``quotients[d].basis[a]``.
     """
 
     def __init__(self, algebra: FiniteGradedAlgebra, ideal: IdealPoint):
@@ -128,7 +133,7 @@ class QuotientData:
         self.ideal = ideal
         F = algebra.field
         dims, labels = {}, {}
-        self.quotients, self.proj, self.lift = {}, {}, {}
+        self.quotients, self.proj = {}, {}
         for d in algebra.degrees:
             n = algebra.dims[d]
             quo = Quotient(ideal.subspace.pieces.get(d) or Echelon(F), n)
@@ -137,42 +142,19 @@ class QuotientData:
             labels[d] = [algebra.labels[d][c] for c in quo.basis]
             self.proj[d] = Matrix.from_cols(
                 [quo.project({c: F.one}) for c in range(n)], quo.dim, F)
-            self.lift[d] = Matrix(n, quo.dim,
-                                  {(c, k): F.one for k, c in enumerate(quo.basis)}, F)
         mult = {}
-        for (i, j), _ in algebra.mult.items():
-            ni, nj = dims.get(i, 0), dims.get(j, 0)
-            if not ni or not nj or (i + j) not in dims:
-                continue
-            entries = {}
-            for a in range(ni):
-                va = self.lift[i].col(a)
-                for b in range(nj):
-                    vb = self.lift[j].col(b)
-                    prod = algebra.multiply(i, va, j, vb)
-                    for r, v in self.quotients[i + j].project(prod).items():
-                        entries[(r, a * nj + b)] = v
-            mult[(i, j)] = Matrix(dims[i + j], ni * nj, entries, F)
+        for (i, j) in algebra.mult:
+            if dims.get(i) and dims.get(j) and dims.get(i + j):
+                quo = self.quotients[i + j]
+                bi, bj = self.quotients[i].basis, self.quotients[j].basis
+                mult[(i, j)] = table(
+                    F, dims[i + j], dims[i], dims[j],
+                    lambda a, b: quo.project(algebra.mult_column(i, bi[a], j, bj[b])))
         self.quotient = FiniteGradedAlgebra(F, dims, mult, labels)
 
     def module_over_ambient(self) -> AlgebraModule:
-        """A/I as a module over A (action through the projection)."""
-        A, B = self.algebra, self.quotient
-        action = {}
-        for (i, e), _ in A.mult.items():
-            if e not in B.dims or (i + e) not in B.dims or i not in A.dims:
-                continue
-            ne = B.dims[e]
-            entries = {}
-            for a in range(A.dims[i]):
-                for m in range(ne):
-                    vm = self.lift[e].col(m)
-                    prod = A.multiply(i, {a: A.field.one}, e, vm)
-                    for r, v in self.quotients[i + e].project(prod).items():
-                        entries[(r, a * ne + m)] = v
-            action[(i, e)] = Matrix(B.dims[i + e], A.dims[i] * ne, entries, A.field)
-        return AlgebraModule(self.algebra, dict(B.dims), action,
-                             labels=dict(B.labels), check=False)
+        """A/I as a module over A, acting through the projection."""
+        return AlgebraModule.through(self.algebra, self.quotient, self.proj)
 
 
 def _multiplier_degrees(algebra: FiniteGradedAlgebra) -> list[int]:
@@ -279,17 +261,15 @@ def classical_tangent_dim(algebra: FiniteGradedAlgebra, ideal: IdealPoint,
     ech = Echelon(F)
     for i in multipliers:
         for sa in range(B.dim(i)):
-            va = quotient.lift[i].col(sa)
+            va = {quotient.quotients[i].basis[sa]: F.one}
             for d in algebra.degrees:
                 e = i + d
                 if e not in algebra.dims or isq.dim(d) == 0:
                     continue
                 for r in range(isq.dim(d)):
                     w = algebra.multiply(i, va, d, isq.basis_lift(d, r))
+                    # a zero I/I^2 piece in degree e makes phi(w mod I^2) = 0
                     xi = isq.modulo_square(e, w) if isq.dim(e) else {}
-                    if isq.dim(e) == 0 and w:
-                        # target I/I^2 piece is zero; phi(w mod I^2) = 0
-                        xi = {}
                     act_cols = {s: B.mult_column(i, sa, d, s) for s in range(B.dim(d))}
                     for sp in range(B.dim(e)):
                         row = {}

@@ -212,13 +212,10 @@ class LieOperad:
 
     def action_matrix(self, n, perm) -> Matrix:
         """Left action: relabel letters by l -> perm[l], re-express."""
-        entries = {}
-        for j in range(self.dim(n)):
-            moved = {tuple(perm[l] for l in w): c
-                     for w, c in self.expansion(n, j).items()}
-            for i, v in self.coordinates(n, moved).items():
-                entries[(i, j)] = v
-        return Matrix(self.dim(n), self.dim(n), entries, self.field)
+        return Matrix.from_cols(
+            [self.coordinates(n, {tuple(perm[l] for l in w): c
+                                  for w, c in self.expansion(n, j).items()})
+             for j in range(self.dim(n))], self.dim(n), self.field)
 
     def compose_words(self, k, idx_outer, letters_map, m, idx_inner, slot_letters):
         """Words of mu_outer with its letters sent through letters_map and

@@ -224,7 +224,8 @@ def stabilization_sweep(x_pres: HomIdealPresentation, z_pres: HomIdealPresentati
     reports = {}
     if threads > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # a pool forks all its workers at once: at most one per window
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             for key, rep in pool.map(_window_report, jobs):
                 reports[key] = rep
     else:

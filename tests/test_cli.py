@@ -166,3 +166,29 @@ def test_timing_flag_adds_field(capsys):
                             "--json", "--timing"], capsys)
     assert code == 0
     assert "timing_seconds" in json.loads(out)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["tangent", str(SCENARIOS / "points_on_line.txt"), "--bogus"],
+     "unrecognized arguments: --bogus"),
+    (["tangent"], "required: scenario"),
+    (["tangent", str(SCENARIOS / "points_on_line.txt"), "--threads", "4"],
+     "unrecognized arguments: --threads 4"),
+    (["sweep", str(SCENARIOS / "points_on_line_sweep.txt"), "--threads", "x"],
+     "--threads"),
+])
+def test_usage_error_exits_1_without_traceback(argv, message):
+    proc = _cli_subprocess(*argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("validation error: ")
+    assert message in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                  ["sweep", "--help"]])
+def test_help_and_version_exit_0(argv):
+    proc = _cli_subprocess(*argv)
+    assert proc.returncode == 0
+    assert proc.stdout and proc.stderr == ""

@@ -119,7 +119,7 @@ def test_weight2_values_symmetric():
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 3), (2, 4)])
 def test_space_dim_matches_dense_shuffle_oracle(dim, n):
     a = zero_multiplication_algebra(dim)
-    one = AlgebraModule(a, {0: 1}, {}, check=False)
+    one = AlgebraModule(a, {0: 1}, {})
     expected = dim ** n - dense_shuffle_rank(dim, n)
     assert HarrisonComplex(a, one, n).space(n).dim == expected
 

@@ -9,7 +9,7 @@ from idealtangent.graded import HomIdealPresentation, coordinate_ring_truncation
 from idealtangent.idealpoints import (GradedSubspace, IdealPoint, QuotientData,
                                       classical_tangent_dim, is_graded_ideal,
                                       subscheme_to_point)
-from idealtangent.polynomials import count_monomials
+from idealtangent.polynomials import count_monomials, mono_str, monomials_of_degree
 
 P1 = HomIdealPresentation.from_strings(2, [])
 P2 = HomIdealPresentation.from_strings(3, [])
@@ -164,3 +164,43 @@ def test_prime_field_classical_agrees():
     d_q = classical_tangent_dim(ring_q.algebra, subscheme_to_point(ring_q, CONIC))
     d_p = classical_tangent_dim(ring_p.algebra, subscheme_to_point(ring_p, CONIC))
     assert d_q == d_p == 5
+
+
+def _seeded_subscheme(x: HomIdealPresentation, seed: int) -> HomIdealPresentation:
+    """X's generators plus one or two seeded forms of degree 2 or 3."""
+    rng = random.Random(seed)
+    gens = [str(g) for g in x.gens]
+    for _ in range(rng.randint(1, 2)):
+        monos = rng.sample(monomials_of_degree(x.nvars, rng.randint(2, 3)), 2)
+        a, b = rng.randint(1, 5), rng.randint(1, 5)
+        gens.append(f"{a}*{mono_str(monos[0])} {rng.choice('+-')} "
+                    f"{b}*{mono_str(monos[1])}")
+    return HomIdealPresentation.from_strings(x.nvars, gens)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=str)
+@pytest.mark.parametrize("x,seed", [("P2", 1), ("P2", 2), ("CONIC", 3),
+                                    ("CONIC", 4)])
+def test_tables_of_the_quotient_project_the_ambient_products(field, x, seed):
+    x = {"P2": P2, "CONIC": CONIC}[x]
+    ring = coordinate_ring_truncation(x, 2, 5, field)
+    point = subscheme_to_point(ring, _seeded_subscheme(x, seed))
+    q = QuotientData(ring.algebra, point)
+    A, B, one = ring.algebra, q.quotient, field.one
+    module = q.module_over_ambient()
+    assert B.total_dim and point.k
+    for i in A.degrees:
+        for e in B.degrees:
+            quo = q.quotients.get(i + e)
+            for m in range(B.dims[e]):
+                lift_m = {q.quotients[e].basis[m]: one}
+                for a in range(A.dims[i]):
+                    # a . m = project(a * lift(m))
+                    prod = A.multiply(i, {a: one}, e, lift_m)
+                    want = quo.project(prod) if quo else {}
+                    assert module.act_column(i, a, e, m) == want
+                for b in range(B.dim(i)):
+                    # b * m = project(lift(b) * lift(m))
+                    prod = A.multiply(i, {q.quotients[i].basis[b]: one}, e, lift_m)
+                    want = quo.project(prod) if quo else {}
+                    assert B.mult_column(i, b, e, m) == want

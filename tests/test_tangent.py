@@ -135,6 +135,30 @@ def test_sweep_with_process_pool_matches_serial():
     assert serial.to_dict() == parallel.to_dict()
 
 
+def test_sweep_starts_no_more_workers_than_windows(monkeypatch):
+    # a stand-in pool records its size and starts no process
+    import concurrent.futures
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    table = stabilization_sweep(P1, TWO_POINTS, 1, [2], [8, 9], threads=10 ** 6)
+    assert sizes == [2]
+    assert table.to_dict() == stabilization_sweep(P1, TWO_POINTS, 1, [2],
+                                                  [8, 9]).to_dict()
+
+
 def test_each_harrison_weight_space_is_built_once(monkeypatch):
     built = Counter()
     init = HarrisonWeightSpace.__init__
