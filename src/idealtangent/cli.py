@@ -253,6 +253,9 @@ def main(argv=None) -> int:
                              "(breaks byte-for-byte determinism)")
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "threads", 1) < 1:
+            parser.error("argument --threads: must be at least 1, "
+                         f"got {args.threads}")
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -266,7 +269,7 @@ def main(argv=None) -> int:
         if args.field:
             sc.field = field_from_spec(args.field)
         if sc.task == "sweep":
-            report = run_sweep(sc, threads=max(1, args.threads))
+            report = run_sweep(sc, threads=args.threads)
         else:
             report = _RUNNERS[sc.task](sc)
         elapsed = time.monotonic() - started

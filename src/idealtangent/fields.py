@@ -1,17 +1,21 @@
 """Exact base fields: arbitrary-precision rationals and large prime fields.
 
-Every scalar in the engine is either a ``fractions.Fraction`` (rational mode)
-or a Python int in ``[0, p)`` (prime mode).  There is no floating point
-anywhere.  Prime mode is an accelerator; rational mode is the reference.
+Over QQ a scalar is an ``int`` when it is integral and otherwise a
+``fractions.Fraction`` with denominator > 1; over GF(p) it is an int in
+``[0, p)``.  There is no floating point anywhere.  Prime mode is an
+accelerator; rational mode is the reference.
 
 One scalar rule holds everywhere.  Scalars are plain Python numbers and
-combine with ``+``, ``-`` and ``*``; a raw sum or product is brought back
-into the field once, by ``coerce``, where a vector, a matrix or an element
-dict is produced, and ``reduced`` does that for a whole dict and drops the
-zeros.  ``coerce`` is the identity on a Fraction over QQ and ``x % p`` on an
-int over GF(p), so a sum is reduced once, not after every operation.  A field
-object carries ``p`` (0 for QQ), ``one`` and ``coerce`` and no arithmetic
-methods.
+combine with ``+``, ``-`` and ``*``, which are exact between ints and
+Fractions; a raw sum or product is brought back into the field once, by
+``coerce``, where a vector, a matrix or an element dict is produced, and
+``reduced`` does that for a whole dict and drops the zeros.  Over QQ
+``coerce`` turns an integral Fraction into its numerator, so integral work
+stays in int arithmetic; over GF(p) it is ``x % p``.  A sum is reduced
+once, not after every operation.  Never apply ``/`` or ``//`` to field
+values: ``/`` of two ints is a float, and ``//`` on a QQ scalar is an
+integer division.  A field object carries ``p`` (0 for QQ), ``one`` and
+``coerce`` and no arithmetic methods.
 """
 from __future__ import annotations
 
@@ -45,20 +49,21 @@ def _is_prime(n: int) -> bool:
 
 
 class RationalField:
-    """The field of rationals; elements are Fraction instances."""
+    """The field of rationals; an element is an int when it is integral and
+    otherwise a Fraction with denominator > 1."""
 
     name = "QQ"
     p = 0
-    one = Fraction(1)
+    one = 1
 
-    def coerce(self, x) -> Fraction:
+    def coerce(self, x):
         t = type(x)
-        if t is Fraction:
-            return x
         if t is int:
-            return Fraction(x)
+            return x
+        if t is Fraction:
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, (Fraction, int)):
-            return Fraction(x)
+            return self.coerce(Fraction(x))
         raise ValidationError(f"cannot coerce {x!r} into QQ")
 
     def __repr__(self):

@@ -1,11 +1,11 @@
 """Exact sparse linear algebra over QQ and prime fields.
 
 Vectors are dicts {index: scalar} with no explicit zeros, and every scalar
-a ``Matrix`` or a returned vector holds is canonical: a Fraction over QQ,
-an int in [1, p) over GF(p).  Products and sums are formed with the Python
-operators on raw values and reduced once, by ``field.coerce``, where the
-matrix or vector is produced (the ``Matrix`` constructors and
-``fields.reduced``).
+a ``Matrix`` or a returned vector holds is canonical: over QQ an int when
+it is integral and otherwise a Fraction with denominator > 1, over GF(p) an
+int in [1, p).  Products and sums are formed with the Python operators on
+raw values and reduced once, by ``field.coerce``, where the matrix or
+vector is produced (the ``Matrix`` constructors and ``fields.reduced``).
 
 A ``Matrix`` is its list of row vectors, the layout ``Echelon`` eliminates
 on, plus a column view built once.  Its COO view ``entries`` is built on
@@ -50,12 +50,15 @@ def _primitive(ints: dict, p: int = 0) -> dict:
 
 
 def _clear_denominators(row: dict) -> tuple[dict[int, int], int]:
-    """Return ``(ints, den)`` with ``row == ints / den`` and ``ints`` integral."""
+    """Return ``(ints, den)`` with ``row == ints / den``, ``ints`` a new dict
+    of nonzero ints."""
     den = 1
     for v in row.values():
         d = v.denominator  # ints carry denominator 1
         if d != 1:
             den = den // gcd(den, d) * d
+    if den == 1:
+        return {k: v.numerator for k, v in row.items() if v}, 1
     ints = {}
     for k, v in row.items():
         iv = int(v * den)
@@ -162,8 +165,8 @@ class Echelon:
 
         Returns ``(residue, coords)`` where ``vec = residue + sum
         coords[c] * pivot_row[c]`` and the residue has no support on pivot
-        columns.  Exact field scalars (Fractions over QQ): over QQ the work
-        is one integer row plus a running denominator.
+        columns.  Over QQ the work is one integer row plus a running
+        denominator, and every scalar is coerced into canonical form.
         """
         p = self.p
         work, den = self._int_row(vec)
@@ -171,18 +174,16 @@ class Echelon:
         while hits := [c for c in work if c in self.pivot_rows]:
             c = min(hits)
             work, fa, fb = _combine(work, self.pivot_rows[c], c, p)
-            coords[c] = fb if p else Fraction(fb, fa * den)
+            coords[c] = fb if p else QQ.coerce(Fraction(fb, fa * den))
             if fa != 1:  # over QQ only; keep work / den in lowest terms
                 den *= fa
                 g = gcd(den, *work.values())
                 if g != 1:
                     den //= g
                     work = {k: v // g for k, v in work.items()}
-        if p:
+        if p or den == 1:
             return work, coords
-        # entries of 1 reuse QQ.one, so tables of unit-vector residues hold no copies
-        return {k: QQ.one if v == den else Fraction(v, den)
-                for k, v in work.items()}, coords
+        return {k: QQ.coerce(Fraction(v, den)) for k, v in work.items()}, coords
 
     def contains(self, vec: dict) -> bool:
         residue, _ = self.reduce(vec)
@@ -382,7 +383,7 @@ class Matrix:
                 row = ech.pivot_rows[c]
                 if f in row:
                     # pivot rows are monic over GF(p)
-                    col[c] = -row[f] if p else Fraction(-row[f], row[c])
+                    col[c] = -row[f] if p else QQ.coerce(Fraction(-row[f], row[c]))
             if not p:
                 col = _primitive(_clear_denominators(col)[0])
             cols.append(col)

@@ -176,6 +176,10 @@ def test_timing_flag_adds_field(capsys):
      "unrecognized arguments: --threads 4"),
     (["sweep", str(SCENARIOS / "points_on_line_sweep.txt"), "--threads", "x"],
      "--threads"),
+    (["sweep", str(SCENARIOS / "points_on_line_sweep.txt"), "--threads", "-3"],
+     "argument --threads: must be at least 1, got -3"),
+    (["sweep", str(SCENARIOS / "points_on_line_sweep.txt"), "--threads", "0"],
+     "argument --threads: must be at least 1, got 0"),
 ])
 def test_usage_error_exits_1_without_traceback(argv, message):
     proc = _cli_subprocess(*argv)

@@ -1,10 +1,11 @@
 """A static scan of the package source for floating point.
 
-Scalars are Fractions or ints mod p and combine with ``+``, ``-`` and
+Scalars are ints or Fractions over QQ (an int whenever the value is
+integral) and ints mod p over GF(p), and combine with ``+``, ``-`` and
 ``*``, so a float can only come in through a float literal, a ``float()``
-call or a ``/``, and a ``/`` between two ints is the one a raw-integer code
-path would write by mistake.  A ``/`` is allowed when one operand is a
-``Fraction(...)`` call.  The wall-clock timing in ``cli.py`` reads
+call or a ``/``.  Over QQ most scalars are ints, so a ``/`` between two
+field values can give a float; a ``/`` is allowed only when one operand is
+a ``Fraction(...)`` call.  The wall-clock timing in ``cli.py`` reads
 ``time.monotonic()`` and uses none of the three, so it needs no exemption.
 """
 import ast

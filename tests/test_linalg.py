@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from idealtangent import tangent
 from idealtangent.complexes import ChainMap, CochainComplex
 from idealtangent.fields import QQ, PrimeField, reduced
-from idealtangent.graded import _bilinear
+from idealtangent.graded import HomIdealPresentation, _bilinear
 from idealtangent.linalg import Echelon, Matrix, Quotient
 
 
@@ -30,7 +31,7 @@ def dense_rank_reference(rows, ncols, F=QQ):
             col += 1
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], -1, F.p) if F.p else 1 / m[rank][col]
+        inv = pow(m[rank][col], -1, F.p) if F.p else Fraction(1) / m[rank][col]
         m[rank] = [F.coerce(v * inv) for v in m[rank]]
         for r in range(nrows):
             if r != rank and m[r][col] != 0:
@@ -225,7 +226,8 @@ def test_reduce_residue_and_coordinates_are_exact(F, rows_ncols, full, vec):
         ech.full_reduce()
     residue, coords = ech.reduce(vec)
     assert not set(residue) & set(ech.pivot_rows)
-    assert all(v != 0 for v in residue.values())
+    assert _is_canonical(F, residue.values())
+    assert _is_canonical(F, coords.values())
     total = dict(residue)
     for c, k in coords.items():
         for j, v in ech.pivot_rows[c].items():
@@ -313,9 +315,13 @@ def _sparse(dense):
 
 
 def _is_canonical(F, values):
+    """Nonzero and in the field's one form: over GF(p) an int in [1, p),
+    over QQ an int when integral, else a Fraction with denominator > 1."""
     if F.p:
         return all(type(v) is int and 0 < v < F.p for v in values)
-    return all(type(v) is Fraction and v != 0 for v in values)
+    return all(v != 0 and (type(v) is int
+                           or type(v) is Fraction and v.denominator > 1)
+               for v in values)
 
 
 @settings(max_examples=150, deadline=None)
@@ -344,6 +350,50 @@ def test_products_match_a_dense_reference_and_are_canonical(F, n, k, m, c, data)
     got = _bilinear(mult, {0: k}, F, 0, u, 0, vec)
     assert got == {r: v for r, v in prod.items() if v}
     assert _is_canonical(F, got.values())
+
+
+# plain ints, integral Fractions such as Fraction(3, 1), and proper Fractions
+mixed_scalars = st.one_of(st.integers(-9, 9), scalars)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields, st.integers(1, 6), st.booleans(), st.data())
+def test_reduce_kernel_and_projection_are_canonical_on_mixed_input(F, ncols, full,
+                                                                   data):
+    row = st.dictionaries(st.integers(0, ncols - 1), mixed_scalars, max_size=ncols)
+    rows, vec = data.draw(st.lists(row, min_size=1, max_size=6)), data.draw(row)
+    ech = echelon_of(rows, F)
+    if full:
+        ech.full_reduce()
+    residue, coords = ech.reduce(vec)
+    assert _is_canonical(F, residue.values())
+    assert _is_canonical(F, coords.values())
+    assert _is_canonical(F, Quotient(ech, ncols).project(vec).values())
+    kernel = Matrix.from_rows(rows, ncols, F).kernel_basis()
+    assert _is_canonical(F, kernel.entries.values())
+
+
+def test_every_scalar_of_a_qq_tangent_solve_is_canonical(monkeypatch):
+    # an integral Fraction would give the same answers but keep every product
+    # it meets in Fraction arithmetic, so the walk asserts the form
+    maps = []
+
+    class Recording(ChainMap):
+        def __init__(self, *args):
+            super().__init__(*args)
+            maps.append(self)
+
+    monkeypatch.setattr(tangent, "ChainMap", Recording)
+    line = HomIdealPresentation.from_strings(2, [])
+    point = HomIdealPresentation.from_strings(2, ["2*x0 - x1"])
+    tangent.tangent_at_subscheme(line, point, 2, 5, 1)
+    (f,) = maps
+    matrices = [*f.source.diffs.values(), *f.target.diffs.values(),
+                *f.fiber.diffs.values(), *f.components.values()]
+    values = [v for m in matrices for row in m.rows for v in row.values()]
+    assert _is_canonical(QQ, values)
+    # the point's coordinates make both forms occur
+    assert {type(v) for v in values} == {int, Fraction}
 
 
 # -- the row layout: every constructor and view holds the same matrix --
