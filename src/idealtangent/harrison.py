@@ -8,12 +8,17 @@ the shuffle sign is the plain permutation sign; the internal grading
 contributes no signs.
 
 Everything is stored in compressed coordinates: a weight-n cochain is
-determined by its values on the "standard tuples", the basis that
-``linalg.Quotient`` chooses for the tuples modulo the shuffle span (one
-per orbit of degree compositions and per target degree), and values at
-arbitrary argument tuples are recovered by projecting the tuple onto
-that basis.  This keeps the windowed internal-degree-0 slices small
-enough for exact arithmetic.
+determined by its values on the "standard tuples", a basis of the tuples
+modulo the shuffle span (one ``ShuffleBlock`` per orbit of degree
+compositions and per target degree), and values at arbitrary argument
+tuples are recovered by projecting the tuple onto that basis.  This keeps
+the windowed internal-degree-0 slices small enough for exact arithmetic.
+
+A shuffle only permutes the letters (degree, basis index) of a tuple, so
+the shuffle span is a direct sum over letter contents (Ree 1958).  The
+basis is chosen by one ``linalg.Quotient`` per content shape, the content
+with its degrees and indices replaced by their ranks, and each block maps
+that basis and the shape's residues back to its own tuples.
 
 The coboundary is the negative of the Hochschild one, so that on weight 1
 it is exactly (delta f)(a, b) = f(ab) - a f(b) - b f(a).
@@ -26,7 +31,7 @@ Harrison complex goes through that `CochainComplex`.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 
 from .complexes import CochainComplex
 from .errors import BudgetError, InternalCheckError, NotAHomomorphismError
@@ -76,52 +81,93 @@ def _orderings(multiset: tuple) -> list:
     return out
 
 
+def _shape(content: tuple) -> tuple:
+    """A content's letters with every degree replaced by its rank among the
+    content's distinct degrees and every index by its rank among its
+    distinct indices.  Both maps are increasing, so letter equality and the
+    order of words (degree sequence first, then index sequence) survive."""
+    degree = {d: r for r, d in enumerate(sorted({d for d, _ in content}))}
+    index = {i: r for r, i in enumerate(sorted({i for _, i in content}))}
+    return tuple((degree[d], index[i]) for d, i in content)
+
+
+# unbounded, like _shuffles: a shape has n letters whose degree and index
+# ranks are below n, so the weight bounds the number of shapes per field
+@lru_cache(maxsize=None)
+def _shape_quotient(field, shape: tuple) -> tuple:
+    """Shuffle quotient of the words with the letter multiset ``shape``.
+
+    The words are the distinct orderings of ``shape`` in the block's column
+    order: degree sequence first, then index sequence.  Returns ``(basis,
+    residues)``: the ``Quotient`` basis as word positions, and for every
+    word its residue in that basis.  Every content of this shape, in any
+    block, shares the one call.
+    """
+    words = sorted(_orderings(shape),
+                   key=lambda w: ([d for d, _ in w], [i for _, i in w]))
+    position = {w: k for k, w in enumerate(words)}
+    n = len(shape)
+    ech = Echelon(field)
+    # insert drops the zero sums and the empty rows
+    for word in words:
+        for p in range(1, n // 2 + 1):
+            row = {}
+            for perm, sign in _shuffles(p, n):
+                k = position[tuple(word[j] for j in perm)]
+                row[k] = row.get(k, 0) + sign
+            ech.insert(row)
+    quotient = Quotient(ech, len(words))
+    return (tuple(quotient.basis),
+            tuple(quotient.project({k: field.one}) for k in range(len(words))))
+
+
 class ShuffleBlock:
     """Shuffle quotient of one orbit of degree compositions, one target degree.
 
-    The relation for (tuple, p) is (-1)^{p(n-p)} times the relation for the
-    rotated tuple and n - p, and the rotated tuple is in the same orbit, so
-    only p <= n // 2 is inserted.  ``std`` is the quotient's basis.
+    A column ``(ci, tup)`` is a word of letters ``(degree, index)``.  A
+    shuffle only permutes letters, so the relations split by letter content
+    and each content is the quotient of its shape (``_shape``), eliminated
+    once per field by ``_shape_quotient``.  That ``Quotient`` chooses the
+    basis; the block maps it back to its own columns, so ``std`` is the
+    sorted union of the contents' bases.  The relation for (tuple, p) is
+    (-1)^{p(n-p)} times the relation for the rotated tuple and n - p, which
+    has the same content, so only p <= n // 2 is inserted.
     """
 
     def __init__(self, algebra: FiniteGradedAlgebra, comps: tuple, e: int):
         self.algebra = algebra
         self.comps = tuple(sorted(comps))
         self.e = e
-        self.n = len(self.comps[0])
         self.cols = [(ci, tup) for ci, comp in enumerate(self.comps)
                      for tup in product(*(range(algebra.dims[d]) for d in comp))]
         self.col_of = {key: col for col, key in enumerate(self.cols)}
-        comp_index = {c: i for i, c in enumerate(self.comps)}
-        ech = Echelon(algebra.field)
-        n = self.n
-        # insert drops the zero sums and the empty rows
-        for ci, tup in self.cols:
-            comp = self.comps[ci]
-            for p in range(1, n // 2 + 1):
-                row = {}
-                for perm, sign in _shuffles(p, n):
-                    ncomp = tuple(comp[k] for k in perm)
-                    ntup = tuple(tup[k] for k in perm)
-                    col = self.col_of[(comp_index[ncomp], ntup)]
-                    row[col] = row.get(col, 0) + sign
-                ech.insert(row)
-        self.quotient = Quotient(ech, len(self.cols))
-        self.std = self.quotient.basis
-        self._reduce_cache: dict[int, dict] = {}
+        members: dict[tuple, list] = {}
+        for col, (ci, tup) in enumerate(self.cols):
+            content = tuple(sorted(zip(self.comps[ci], tup)))
+            members.setdefault(content, []).append(col)
+        shapes = [(cols, *_shape_quotient(algebra.field, _shape(content)))
+                  for content, cols in members.items()]
+        self.std = sorted(cols[j] for cols, basis, _ in shapes for j in basis)
+        std_pos = {col: t for t, col in enumerate(self.std)}
+        # per column the shared residue of its word in the shape, and where
+        # its content's basis words sit in std
+        self._residue = [None] * len(self.cols)
+        self._where = [None] * len(self.cols)
+        for cols, basis, residues in shapes:
+            where = [std_pos[cols[j]] for j in basis]
+            for col, residue in zip(cols, residues):
+                self._residue[col] = residue
+                self._where[col] = where
 
     @property
     def dim(self) -> int:
-        return self.quotient.dim
+        return len(self.std)
 
     def reduce_col(self, ci: int, tup: tuple) -> dict:
         """Standard-tuple expansion of the elementary tuple (ci, tup)."""
         col = self.col_of[(ci, tup)]
-        out = self._reduce_cache.get(col)
-        if out is None:
-            out = self.quotient.project({col: self.algebra.field.one})
-            self._reduce_cache[col] = out
-        return out
+        where = self._where[col]
+        return {where[j]: v for j, v in self._residue[col].items()}
 
 
 class HarrisonWeightSpace:
@@ -141,7 +187,7 @@ class HarrisonWeightSpace:
         self.module = module
         self.n = n
         self.internal_degree = internal_degree
-        keys = sorted({tuple(sorted(c)) for c in product(algebra.degrees, repeat=n)})
+        keys = combinations_with_replacement(algebra.degrees, n)
         self.blocks = []
         self._block_of_comp = {}
         for key in keys:

@@ -1,13 +1,19 @@
 """CLI: golden-file regressions, determinism, exit codes."""
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealtangent.cli import main
+from idealtangent.scenarios import TASKS
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SCENARIOS = REPO / "scenarios"
@@ -196,3 +202,88 @@ def test_help_and_version_exit_0(argv):
     proc = _cli_subprocess(*argv)
     assert proc.returncode == 0
     assert proc.stdout and proc.stderr == ""
+
+
+
+def _ints(lo, hi, size):
+    return st.lists(st.integers(lo, hi), min_size=size, max_size=size).map(
+        lambda xs: " ".join(map(str, xs)))
+
+
+# a small valid scenario per task, and its generator block ...
+_BASE = {
+    "truncate": ({"nvars": "2", "window": "0 3", "d_max": "3"}, "x_gens"),
+    "tangent": ({"nvars": "2", "window": "2 4", "m": "1"}, "z_gens"),
+    "sweep": ({"nvars": "2", "p_range": "2", "q_range": "4 5", "m": "1"},
+              "z_gens"),
+    "harrison": ({"algebra": "nilpotent 2", "weight": "2"}, "x_gens"),
+    "operad": ({"arity_cap": "3"}, "x_gens"),
+    "oracle": ({"nvars": "3", "twist": "1", "max_i": "1"}, "ci_gens"),
+    "rmap": ({"segre": "1 1", "window": "2 3", "m": "1"}, "z_gens"),
+    "compare": ({"nvars": "2", "window": "2 4", "m": "1"}, "z_gens"),
+}
+# ... and small values, in and out of range, that override it
+_VALUES = {
+    "field": st.sampled_from(["q", "p:2", "p:3", "p:7", "p:1000003", "p:8", "r"]),
+    "nvars": st.integers(0, 3).map(str),
+    "segre": st.sampled_from(["0 0", "0 1", "1 1", "1", "1 -1"]),
+    "window": st.one_of(_ints(-1, 4, 2), _ints(0, 4, 1)),
+    "p_range": st.one_of(_ints(-1, 3, 1), _ints(0, 3, 2)),
+    "q_range": st.one_of(_ints(0, 5, 1), _ints(0, 5, 2)),
+    "m": st.integers(-1, 3).map(str),
+    "weight": st.integers(0, 3).map(str),
+    "arity_cap": st.integers(1, 5).map(str),
+    "twist": st.integers(-2, 3).map(str),
+    "max_i": st.integers(-1, 2).map(str),
+    "d_max": st.integers(-1, 4).map(str),
+    "algebra": st.sampled_from(["nilpotent 2", "zero 1", "zero 0", "nilpotent",
+                                "product nilpotent 2 zero 1", "cube 2"]),
+}
+
+
+@st.composite
+def _scenarios(draw):
+    """(task, scenario text): a task's small base scenario with up to three
+    values overridden and up to three generators, mostly valid ones."""
+    task = draw(st.sampled_from(TASKS))
+    values, block = _BASE[task]
+    values = dict(values)
+    for key in draw(st.lists(st.sampled_from(sorted(_VALUES)), max_size=3)):
+        values[key] = draw(_VALUES[key])
+    gens = draw(st.lists(st.sampled_from(
+        ["x0*x1", "x1^2", "x0^2 - x0*x1", "x0", "x1 - x0", "x2^3", "x0 +"]),
+        max_size=3))
+    return task, "\n".join([f"task = {task}"]
+                           + [f"{k} = {v}" for k, v in values.items()]
+                           + [f"{block}:"] + ["  " + g for g in gens]) + "\n"
+
+
+# usage errors are rarer than the valid flags
+_flags = st.lists(st.sampled_from(
+    ["--json", "--timing", "--field=p:7", "--field=q", "--out=OUT",
+     "--json", "--timing", "--field=p:4", "--threads=2", "--out=NO/r",
+     "--bogus"]), max_size=3, unique=True)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_scenarios(), _flags, st.sampled_from(["task", "task", "other",
+                                               "missing"]))
+def test_cli_fuzz_exits_with_a_documented_code_and_no_traceback(
+        scenario, flags, command):
+    """Any small scenario and flags: exit 0-4 and no traceback on stderr.
+    An exception out of ``main`` fails the example with its traceback."""
+    task, text = scenario
+    if command == "other":
+        task = TASKS[(TASKS.index(task) + 1) % len(TASKS)]
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "s.txt"), "w", encoding="utf-8") as fh:
+            fh.write(text)
+        argv = [task, os.path.join(tmp, "missing.txt" if command == "missing"
+                                   else "s.txt")]
+        argv += [f.replace("OUT", os.path.join(tmp, "out")).replace(
+            "NO", os.path.join(tmp, "no")) for f in flags]
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+    assert code in {0, 1, 2, 3, 4}, err.getvalue()
+    assert "Traceback" not in err.getvalue()

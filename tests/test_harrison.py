@@ -10,15 +10,18 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from idealtangent.errors import NotAHomomorphismError
 from idealtangent.fields import QQ, PrimeField
-from idealtangent.graded import (AlgebraModule, HomIdealPresentation,
+from idealtangent.graded import (AlgebraModule, FiniteGradedAlgebra,
+                                 HomIdealPresentation,
                                  coordinate_ring_truncation, nilpotent_algebra,
                                  product_algebra, zero_multiplication_algebra)
 from idealtangent.harrison import (HarrisonComplex, ShuffleBlock, _orderings,
-                                   _shuffles, harrison_cohomology,
-                                   module_via_homomorphism)
+                                   _shape_quotient, _shuffles,
+                                   harrison_cohomology, module_via_homomorphism)
 from idealtangent.linalg import Echelon, Matrix, Quotient
 
 
@@ -323,3 +326,59 @@ def test_shuffle_block_matches_the_span_of_every_relation(F):
         assert blk.std == full.basis, key
         for col, (ci, tup) in enumerate(blk.cols):
             assert blk.reduce_col(ci, tup) == full.project({col: F.one}), key
+
+
+@st.composite
+def _orbits(draw):
+    """Degree dimensions and an orbit key with repeated degrees, so the
+    block's columns repeat letters in degree and in index."""
+    n = draw(st.integers(1, 5))
+    degrees = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3,
+                            unique=True))
+    dims = {d: draw(st.integers(1, 3 if n <= 3 else 2)) for d in degrees}
+    key = tuple(sorted(draw(st.lists(st.sampled_from(degrees), min_size=n,
+                                     max_size=n))))
+    return dims, key
+
+
+@pytest.mark.parametrize("F", [QQ, PrimeField(1000003), PrimeField(7),
+                               PrimeField(3), PrimeField(2)],
+                         ids=["QQ", "GF1000003", "GF7", "GF3", "GF2"])
+@settings(max_examples=100, deadline=None)
+@given(_orbits())
+def test_content_shapes_match_one_elimination_of_every_relation(F, orbit):
+    """The block built from one elimination per content shape has the basis
+    and the residues of one elimination of every (tuple, p), p in 1..n-1;
+    GF(2), GF(3) and GF(7) include p <= n, where shuffle coefficients
+    vanish."""
+    dims, key = orbit
+    blk = ShuffleBlock(FiniteGradedAlgebra(F, dims, {}), tuple(_orderings(key)),
+                       sum(key))
+    n = len(key)
+    ech = Echelon(F)
+    for ci, tup in blk.cols:
+        comp = blk.comps[ci]
+        for p in range(1, n):
+            row = {}
+            for perm, sign in _shuffles(p, n):
+                col = blk.col_of[(blk.comps.index(tuple(comp[k] for k in perm)),
+                                  tuple(tup[k] for k in perm))]
+                row[col] = row.get(col, 0) + sign
+            ech.insert(row)
+    full = Quotient(ech, len(blk.cols))
+    assert blk.std == full.basis
+    assert blk.dim == full.dim
+    for col, (ci, tup) in enumerate(blk.cols):
+        assert blk.reduce_col(ci, tup) == full.project({col: F.one})
+
+
+def test_each_content_shape_is_eliminated_once():
+    """Three letters from a 4-dimensional degree: 20 contents of 4 shapes
+    (abc, aab, abb, aaa), so the block eliminates 4 times, not 20."""
+    _shape_quotient.cache_clear()
+    blk = ShuffleBlock(zero_multiplication_algebra(4), ((0, 0, 0),), 0)
+    info = _shape_quotient.cache_info()
+    assert len(blk.cols) == 64
+    assert (info.misses, info.hits) == (4, 16)
+    ShuffleBlock(zero_multiplication_algebra(3), ((0, 0, 0),), 0)
+    assert _shape_quotient.cache_info().misses == 4
