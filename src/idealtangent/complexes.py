@@ -9,6 +9,18 @@ A chain map f: S -> T is verified by the d∘d check of its mapping fiber and
 nowhere else.  The fiber's d∘d has the blocks d_S∘d_S, f∘d_S - d_T∘f and
 d_T∘d_T; S and T are complexes, checked when they were built, so the
 fiber's d∘d vanishes exactly when f commutes with the differentials.
+
+Ranks are cleared, as in persistent homology (Chen-Kerber, "Persistent
+homology computation with a twist", 2011; Bauer, "Ripser", 2021).
+``Matrix.rank`` of d^{i-1} records a set R of its rows, coordinates of
+term i, on which im d^{i-1} projects isomorphically.  So for each r in R
+some v in im d^{i-1} equals e_r plus a vector supported off R, and since
+d^i kills im d^{i-1} (d∘d = 0, checked when the complex is built, with no
+way to turn the check off), the column r of d^i is a combination of the
+columns outside R.  Hence rank d^i is the rank of d^i without the columns
+R, and d^i's dependent columns are mostly gone before elimination starts.
+Only ranks are cleared: cohomology representatives pivot canonically on
+the full differentials.
 """
 from __future__ import annotations
 
@@ -29,6 +41,7 @@ class CochainComplex:
                 continue
             self.diffs[(i, j)] = m
         self._ranks: dict = {}
+        self._cleared: dict = {}   # (i, j) -> R of d^i, until d^{i+1} is ranked
         self._check()
 
     def dim(self, i, j=0) -> int:
@@ -52,12 +65,21 @@ class CochainComplex:
                 raise InternalCheckError(f"d∘d != 0 at {(i, j)}", (i, j))
 
     def rank(self, i, j=0) -> int:
-        """Rank of the differential at (i, j); each is ranked at most once."""
+        """Rank of the differential at (i, j); each is ranked at most once.
+
+        Cleared (module docstring): d^{i-1} is ranked first, and d^i is
+        handed to ``Matrix.rank`` without the columns R that ranking
+        recorded as d^{i-1}'s ``basis_rows``.
+        """
         m = self.diffs.get((i, j))
         if m is None:
             return 0
         if (i, j) not in self._ranks:
+            if (i - 1, j) in self.diffs:
+                self.rank(i - 1, j)
+                m = m.without_cols(self._cleared.pop((i - 1, j)))
             self._ranks[(i, j)] = m.rank()
+            self._cleared[(i, j)] = m.basis_rows
         return self._ranks[(i, j)]
 
     def cohomology(self, i, j=0, representatives=False):

@@ -23,6 +23,12 @@ pivot left to right, so they are reproducible.  Rank-only elimination,
 dimension in a fill-reducing order instead: the other dimension's indices
 relabelled by ascending nonzero count, the vectors inserted shortest first.
 A rank does not depend on the order, and sparse pivots keep the fill low.
+It also records ``basis_rows``, a set R of ``rank`` rows that span the row
+space, read from the same elimination.  ``CochainComplex.rank`` clears with
+it: the next differential is ranked without the columns R (``without_cols``),
+which is exact because d∘d = 0 (see ``complexes``).  Clearing changes only
+which matrix ``Matrix.rank`` is handed; ``echelon``, ``kernel_basis``,
+``Quotient`` and cohomology representatives keep canonical pivoting.
 """
 from __future__ import annotations
 
@@ -236,7 +242,8 @@ class Matrix:
     of the package reads it.
     """
 
-    __slots__ = ("nrows", "ncols", "field", "rows", "_cols", "_entries")
+    __slots__ = ("nrows", "ncols", "field", "rows", "basis_rows", "_cols",
+                 "_entries")
 
     def __init__(self, nrows: int, ncols: int, entries: dict, field=QQ):
         coerce = field.coerce
@@ -248,7 +255,7 @@ class Matrix:
                     raise IndexError(f"entry {(i, j)} outside {nrows}x{ncols}")
                 rows[i][j] = cv
         self.nrows, self.ncols, self.field, self.rows = nrows, ncols, field, rows
-        self._cols = self._entries = None
+        self.basis_rows = self._cols = self._entries = None
 
     @classmethod
     def _of_rows(cls, nrows, ncols, rows, field) -> "Matrix":
@@ -340,31 +347,57 @@ class Matrix:
             for i, row in enumerate(self.rows)})
 
     def echelon(self) -> Echelon:
+        """The rows inserted as given; ``basis_rows`` records the indices of
+        those whose insert gave a pivot."""
         ech = Echelon(self.field)
-        for row in self.rows:
-            if row:
-                ech.insert(row)
+        self.basis_rows = [i for i, row in enumerate(self.rows)
+                           if row and ech.insert(row) is not None]
         return ech
 
     def rank(self) -> int:
         """One ``echelon`` along the smaller dimension, in the fill-reducing
         order: the other dimension's indices relabelled by ascending nonzero
-        count, the vectors inserted shortest first."""
-        vecs, n = self.rows, self.ncols
-        if self.nrows > n:
+        count, the vectors inserted shortest first.
+
+        ``basis_rows`` records R, the indices of ``rank`` rows that span the
+        row space: for a tall matrix the pivot keys, mapped back through the
+        row order; for a wide one the rows whose insert gave a pivot.
+        """
+        rows, n = self.rows, self.ncols
+        order = sorted(range(self.nrows), key=[len(r) for r in rows].__getitem__)
+        tall = self.nrows > n
+        if tall:
             # transposing the rows shortest first labels them by their count
-            vecs, n = _transposed(sorted(vecs, key=len), n), self.nrows
+            vecs, n = _transposed([rows[i] for i in order], n), self.nrows
+            vecs.sort(key=len)
         else:
             count = [0] * n
-            for vec in vecs:
-                for j in vec:
+            for row in rows:
+                for j in row:
                     count[j] += 1
             label = [0] * n
             for new, j in enumerate(sorted(range(n), key=count.__getitem__)):
                 label[j] = new
-            vecs = [{label[j]: v for j, v in vec.items()} for vec in vecs]
-        vecs.sort(key=len)
-        return Matrix._of_rows(len(vecs), n, vecs, self.field).echelon().rank
+            vecs = [{label[j]: v for j, v in rows[i].items()} for i in order]
+        ordered = Matrix._of_rows(len(vecs), n, vecs, self.field)
+        ech = ordered.echelon()
+        self.basis_rows = [order[k] for k in
+                           (ech.pivot_rows if tall else ordered.basis_rows)]
+        return ech.rank
+
+    def without_cols(self, drop) -> "Matrix":
+        """The columns outside ``drop``, renumbered 0..k-1 in their order."""
+        label = [0] * self.ncols
+        for j in drop:
+            label[j] = None
+        k = 0
+        for j in range(self.ncols):
+            if label[j] is not None:
+                label[j] = k
+                k += 1
+        rows = [{c: v for j, v in row.items() if (c := label[j]) is not None}
+                for row in self.rows]
+        return Matrix._of_rows(self.nrows, k, rows, self.field)
 
     def nullity(self) -> int:
         return self.ncols - self.rank()

@@ -109,6 +109,28 @@ class TangentReport:
         return "\n".join(lines)
 
 
+def _tangent_fiber(algebra: FiniteGradedAlgebra, quotient: QuotientData,
+                   m: int):
+    """The fiber of the restriction map, and whether it is complete: the
+    top terms of both Harrison slices vanish.
+
+    Built here so that the Harrison complexes, their cochain complexes and
+    the restriction are freed when it returns, before any rank: a cleared
+    rank holds a restricted copy of a fiber differential.
+    """
+    top_s = m + 3   # codomain of the top kernel computation
+    top_t = m + 2
+    B = quotient.quotient
+    hc_s = HarrisonComplex(B, AlgebraModule.regular(B), top_s, internal_degree=0)
+    hc_t = HarrisonComplex(algebra, quotient.module_over_ambient(), top_t,
+                           internal_degree=0)
+    source = hc_s.cochain_complex()
+    target = hc_t.cochain_complex()
+    comps = _pullback_components(quotient, hc_s, hc_t, top_t)
+    fiber = ChainMap(source, target, comps).fiber
+    return fiber, source.dim(top_s - 1) == 0 and target.dim(top_t - 1) == 0
+
+
 def derived_tangent(algebra: FiniteGradedAlgebra, ideal: IdealPoint, m: int,
                     quotient: QuotientData | None = None,
                     window=None) -> TangentReport:
@@ -129,19 +151,10 @@ def derived_tangent(algebra: FiniteGradedAlgebra, ideal: IdealPoint, m: int,
     if B.total_dim == 0 or not algebra.degrees:
         return TangentReport(window, m, [0] * (m + 1), classical, ideal.k, None,
                              ["quotient algebra is zero in the window"])
-    top_s = m + 3   # codomain of the top kernel computation
-    top_t = m + 2
-    m_s = AlgebraModule.regular(B)
-    m_t = quotient.module_over_ambient()
-    hc_s = HarrisonComplex(B, m_s, top_s, internal_degree=0)
-    hc_t = HarrisonComplex(algebra, m_t, top_t, internal_degree=0)
-    source = hc_s.cochain_complex()
-    target = hc_t.cochain_complex()
-    comps = _pullback_components(quotient, hc_s, hc_t, top_t)
-    fiber = ChainMap(source, target, comps).fiber
+    fiber, complete = _tangent_fiber(algebra, quotient, m)
     dims = [fiber.cohomology(i + 1) for i in range(m + 1)]
     euler = None
-    if source.dim(top_s - 1) == 0 and target.dim(top_t - 1) == 0:
+    if complete:
         # internal-degree-0 slices vanish from some weight on, so the fiber
         # is complete and Euler characteristics must telescope exactly
         top = max([i for (i, _) in fiber.terms] or [0])

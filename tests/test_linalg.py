@@ -216,6 +216,55 @@ def test_rank_is_invariant_under_row_and_column_permutations(F, rows_ncols, data
             == Matrix.from_rows(rows, ncols, F).rank())
 
 
+# -- clearing: R from one elimination, and ranks of cleared differentials --
+
+clearing_fields = st.sampled_from([QQ, PrimeField(2), PrimeField(7),
+                                   PrimeField(1000003)])
+small_ints = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
+
+
+def _int_matrix(data, F, nrows, ncols):
+    cells = data.draw(st.lists(small_ints, min_size=nrows * ncols,
+                               max_size=nrows * ncols))
+    return Matrix(nrows, ncols, {(i, j): cells[i * ncols + j]
+                                 for i in range(nrows) for j in range(ncols)}, F)
+
+
+@settings(max_examples=200, deadline=None)
+@given(clearing_fields, st.integers(1, 7), st.integers(1, 7), st.data())
+def test_rank_records_rows_that_span_the_row_space(F, nrows, ncols, data):
+    # tall shapes read R from the pivot keys of a column elimination, wide
+    # ones from the rows whose insert gave a pivot; both are drawn
+    m = _int_matrix(data, F, nrows, ncols)
+    r = m.rank()
+    basis = m.basis_rows
+    assert len(basis) == len(set(basis)) == r == dense_rank_reference(m.rows, ncols, F)
+    assert set(basis) <= set(range(nrows))
+    assert dense_rank_reference([m.rows[i] for i in basis], ncols, F) == r
+
+
+@settings(max_examples=150, deadline=None)
+@given(clearing_fields, st.integers(4, 5), st.data())
+def test_cleared_ranks_match_plain_ranks_and_dense_reference(F, length, data):
+    # d^i = C * K^T with K spanning the left kernel of d^{i-1}, so d∘d = 0
+    # and every differential is ranked cleared of the previous one's R
+    dims = data.draw(st.lists(st.integers(1, 5), min_size=length,
+                              max_size=length))
+    diffs = {(0, 0): _int_matrix(data, F, dims[1], dims[0])}
+    for i in range(1, length - 1):
+        left_kernel = diffs[(i - 1, 0)].transpose().kernel_basis()
+        coeffs = _int_matrix(data, F, dims[i + 1], left_kernel.ncols)
+        diffs[(i, 0)] = coeffs.mul(left_kernel.transpose())
+    cx = CochainComplex({(i, 0): n for i, n in enumerate(dims)}, diffs, F)
+    degrees = range(-1, length + 1)
+    dense = {i: dense_rank_reference(cx.diff(i).rows, cx.dim(i), F) for i in degrees}
+    # ask in a random order, so d^i is met both before and after d^{i-1}
+    for i in data.draw(st.permutations(degrees)):
+        assert cx.rank(i) == cx.diff(i).rank() == dense[i]
+    for i in degrees:
+        assert cx.cohomology(i) == cx.dim(i) - dense[i] - dense.get(i - 1, 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(kernel_fields, sparse_rows, st.booleans(),
        st.dictionaries(st.integers(0, 6), scalars, max_size=7))

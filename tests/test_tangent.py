@@ -1,4 +1,5 @@
 """Derived tangent pipeline: calibration anchors and stabilization."""
+import weakref
 from collections import Counter
 from functools import cache
 
@@ -13,6 +14,7 @@ from idealtangent.graded import HomIdealPresentation, coordinate_ring_truncation
 from idealtangent.harrison import HarrisonComplex, HarrisonWeightSpace
 from idealtangent.polynomials import Poly
 from idealtangent.idealpoints import subscheme_to_point
+from idealtangent.linalg import Matrix
 from idealtangent.tangent import (derived_tangent, rmap_tangent,
                                   segre_presentation, stabilization_sweep,
                                   tangent_at_subscheme)
@@ -171,3 +173,26 @@ def test_each_harrison_weight_space_is_built_once(monkeypatch):
     rep = tangent_at_subscheme(P2, CONIC, 2, 5, 1, PrimeField(1000003))
     assert rep.dims[0] == 5
     assert built and set(built.values()) == {1}, built
+
+
+def test_harrison_complexes_are_freed_before_the_first_rank(monkeypatch):
+    # a cleared rank holds a restricted copy of a fiber differential, so the
+    # source and target complexes must be gone when ranking starts
+    built, alive = [], []
+    cochain_complex, rank = HarrisonComplex.cochain_complex, Matrix.rank
+
+    def recording(self):
+        cx = cochain_complex(self)
+        built.append(weakref.ref(cx))
+        return cx
+
+    def checking(m):
+        if not alive:
+            alive.append([ref() is not None for ref in built])
+        return rank(m)
+
+    monkeypatch.setattr(HarrisonComplex, "cochain_complex", recording)
+    monkeypatch.setattr(Matrix, "rank", checking)
+    rep = tangent_at_subscheme(P2, CONIC, 2, 5, 1, PrimeField(1000003))
+    assert rep.dims[0] == 5
+    assert alive == [[False, False]]   # the source, then the target
