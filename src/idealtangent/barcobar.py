@@ -241,17 +241,16 @@ def _graded_complex(basis: TreeBasis, image, field) -> CochainComplex:
     for d in degs:
         if d + 1 not in by_degree:
             continue
-        rows = {i: r for r, i in enumerate(by_degree[d + 1])}
-        entries = {}
+        row_of = {i: r for r, i in enumerate(by_degree[d + 1])}
+        rows = [{} for _ in row_of]
         for cix, i in enumerate(by_degree[d]):
             for el, v in image(basis.elements[i]).items():
                 j = basis.index.get(el)
                 if j is None:
                     raise InternalCheckError(
                         "differential left the arity-capped basis")
-                entries[(rows[j], cix)] = v
-        diffs[(d, 0)] = Matrix(len(by_degree[d + 1]), len(by_degree[d]),
-                               entries, field)
+                rows[row_of[j]][cix] = v
+        diffs[(d, 0)] = Matrix.from_rows(rows, len(by_degree[d]), field)
     return CochainComplex({(d, 0): len(by_degree[d]) for d in degs}, diffs, field)
 
 

@@ -105,18 +105,18 @@ def _koszul_exactness_probe(ci: CIData, degrees_probed, field=QQ):
             dims[r] = k
         diffs = {}
         for r in range(1, c + 1):
-            entries = {}
+            rows = [{} for _ in range(dims[r - 1])]
             for (subset, m), col in index[r].items():
                 for pos, j in enumerate(subset):
                     rest = tuple(x for x in subset if x != j)
                     sign = (-1) ** pos
                     for fm, fc in ci.forms[j].coeffs.items():
                         key = (rest, mono_mul(m, fm))
-                        row = index[r - 1].get(key)
-                        if row is None:
+                        i = index[r - 1].get(key)
+                        if i is None:
                             raise ValidationError("Koszul bookkeeping error")
-                        entries[(row, col)] = entries.get((row, col), 0) + fc * sign
-            diffs[(-r, 0)] = Matrix(dims[r - 1], dims[r], entries, field)
+                        rows[i][col] = rows[i].get(col, 0) + fc * sign
+            diffs[(-r, 0)] = Matrix.from_rows(rows, dims[r], field)
         koszul = CochainComplex({(-r, 0): n for r, n in dims.items()}, diffs, field)
         for r in range(1, c):
             if koszul.cohomology(-r):
@@ -155,7 +155,7 @@ def _total_complex(ci: CIData, e: int, floor: int, field=QQ) -> CochainComplex:
 
     diffs = {}
     for k in range(-c, nvars - 1):
-        entries = {}
+        rows = [{} for _ in range(dims[k + 1])]
         src, dst = index[k], index[k + 1]
         for (r, subset, chart, mono), col in src.items():
             s = k + r
@@ -165,19 +165,19 @@ def _total_complex(ci: CIData, e: int, floor: int, field=QQ) -> CochainComplex:
                     continue
                 nchart = tuple(sorted(chart + (j,)))
                 sign = (-1) ** nchart.index(j)
-                row = dst.get((r, subset, nchart, mono))
-                if row is not None:
-                    entries[(row, col)] = entries.get((row, col), 0) + sign
+                i = dst.get((r, subset, nchart, mono))
+                if i is not None:
+                    rows[i][col] = rows[i].get(col, 0) + sign
             # Koszul differential, with the sign twisted by the Cech level
             ksign = (-1) ** s
             for pos2, j in enumerate(subset):
                 rest = tuple(x for x in subset if x != j)
                 sign = ksign * (-1) ** pos2
                 for fm, fc in ci.forms[j].coeffs.items():
-                    row = dst.get((r - 1, rest, chart, mono_mul(mono, fm)))
-                    if row is not None:
-                        entries[(row, col)] = entries.get((row, col), 0) + fc * sign
-        diffs[(k, 0)] = Matrix(dims[k + 1], dims[k], entries, field)
+                    i = dst.get((r - 1, rest, chart, mono_mul(mono, fm)))
+                    if i is not None:
+                        rows[i][col] = rows[i].get(col, 0) + fc * sign
+        diffs[(k, 0)] = Matrix.from_rows(rows, dims[k], field)
     terms = {(k, 0): d for k, d in dims.items()}
     return CochainComplex(terms, diffs, field)
 

@@ -152,9 +152,9 @@ def mapping_fiber(f: ChainMap) -> CochainComplex:
         ns, nt = S.dim(i, j), T.dim(i, j)
         top = d_s.rows if d_s is not None else [{}] * S.dim(i + 1, j)
         left = f_i.rows if f_i is not None else [{}] * nt
-        right = d_t.rows if d_t is not None else [{}] * nt
-        # rows of (d_S, 0) over rows of (f_i, -d_T); from_rows reduces -v
-        rows = top + [{**a, **{ns + b: -v for b, v in c.items()}}
+        right = d_t.scale(-1).rows if d_t is not None else [{}] * nt
+        # rows of (d_S, 0) over rows of (f_i, -d_T), all canonical already
+        rows = top + [{**a, **{ns + b: v for b, v in c.items()}}
                       for a, c in zip(left, right)]
-        diffs[(i, j)] = Matrix.from_rows(rows, ns + T.dim(i - 1, j), field)
+        diffs[(i, j)] = Matrix(rows, ns + T.dim(i - 1, j), field)
     return CochainComplex(terms, diffs, field)

@@ -263,7 +263,7 @@ class HarrisonComplex:
         F = A.field
         src = self.space(n)
         dst = self.space(n + 1)
-        entries = {}  # raw sums; the Matrix reduces them and drops the zeros
+        rows = [{} for _ in range(dst.dim)]  # raw sums; from_rows reduces them
         for b_idx, blk in enumerate(dst.blocks):
             e_out = blk.e
             dim_m_out = M.dim(e_out)
@@ -273,7 +273,7 @@ class HarrisonComplex:
                 row_base = dst.offsets[b_idx] + pos * dim_m_out
                 # -u_1 . f(u_2 .. u_{n+1})
                 self._action_term(src, comp[1:], tup[1:], comp[0], tup[0],
-                                  e_out, row_base, -1, entries)
+                                  e_out, row_base, -1, rows)
                 # sum_i (-1)^{i+1} f(..., u_i u_{i+1}, ...)
                 for i in range(n):
                     prod = A.mult_column(comp[i], tup[i], comp[i + 1], tup[i + 1])
@@ -294,16 +294,16 @@ class HarrisonComplex:
                             cval = coeff * rv
                             base = src.offsets[sb_idx] + t * dim_m_out
                             for m in range(dim_m_out):
-                                key = (row_base + m, base + m)
-                                entries[key] = entries.get(key, 0) + cval
+                                row = rows[row_base + m]
+                                row[base + m] = row.get(base + m, 0) + cval
                 # (-1)^n u_{n+1} . f(u_1 .. u_n)
                 self._action_term(src, comp[:-1], tup[:-1], comp[-1], tup[-1],
-                                  e_out, row_base, -1 if n % 2 else 1, entries)
-        return Matrix(dst.dim, src.dim, entries, F)
+                                  e_out, row_base, -1 if n % 2 else 1, rows)
+        return Matrix.from_rows(rows, src.dim, F)
 
     def _action_term(self, src, comp_rest, tup_rest, d_act, u_act,
-                     e_out, row_base, sign, entries):
-        """Add sign * (u_act . f(rest)) to one output row block of ``entries``."""
+                     e_out, row_base, sign, rows):
+        """Add sign * (u_act . f(rest)) to one output row block of ``rows``."""
         M = self.module
         e_in = e_out - d_act
         loc = src.locate(tuple(comp_rest), e_in)
@@ -323,8 +323,8 @@ class HarrisonComplex:
                 colix = src.offsets[sb_idx] + t * dim_m_in + m_in
                 sv = sign * rv
                 for m_out, av in act.items():
-                    key = (row_base + m_out, colix)
-                    entries[key] = entries.get(key, 0) + sv * av
+                    row = rows[row_base + m_out]
+                    row[colix] = row.get(colix, 0) + sv * av
 
     def delta_full_values(self, n: int, coords: dict) -> dict:
         """The coboundary of a weight-n cochain, evaluated at every full

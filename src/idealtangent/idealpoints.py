@@ -214,11 +214,11 @@ class _IdealSquareData:
             self.square[e] = Quotient(isq, ne)
 
     def _i_coords(self, e: int, vec: dict) -> dict:
-        residue, coords = self.ideal.subspace.pieces[e].reduce(vec)
-        if residue:
+        ech = self.ideal.subspace.pieces[e]
+        if ech.reduce(vec):
             raise InternalCheckError("product left the ideal; tables inconsistent")
         position = self._i_position[e]
-        return {position[c]: v for c, v in coords.items()}
+        return {position[c]: v for c, v in ech.coefficients(vec).items()}
 
     def modulo_square(self, e: int, vec: dict) -> dict:
         """A_e vector in I_e -> coordinates in the chosen I/I^2 basis."""

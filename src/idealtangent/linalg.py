@@ -5,12 +5,16 @@ a ``Matrix`` or a returned vector holds is canonical: over QQ an int when
 it is integral and otherwise a Fraction with denominator > 1, over GF(p) an
 int in [1, p).  Products and sums are formed with the Python operators on
 raw values and reduced once, by ``field.coerce``, where the matrix or
-vector is produced (the ``Matrix`` constructors and ``fields.reduced``).
+vector is produced (``Matrix.from_rows`` and ``fields.reduced``).
 
 A ``Matrix`` is its list of row vectors, the layout ``Echelon`` eliminates
-on, plus a column view built once.  Its COO view ``entries`` is built on
-first read, for readers outside the package (``bench/tracing.py`` and the
-tests) until an in-package trace replaces that tracer.
+on, plus a column view built once.  Its one constructor takes rows that are
+already canonical; ``from_rows`` and ``from_cols`` are the entries that
+reduce raw values and check the column bounds, and every builder in the
+package writes its rows and hands them to one of the three.  The COO view
+``entries`` is read-only and built on first read, for readers outside the
+package (``bench/tracing.py`` and the tests) until an in-package trace
+replaces that tracer.
 
 ``Echelon`` keeps integer rows: over QQ primitive vectors (denominators
 cleared, content divided out, leading entry positive), over GF(p) residues
@@ -73,11 +77,11 @@ def _clear_denominators(row: dict) -> tuple[dict[int, int], int]:
     return ints, den
 
 
-def _combine(work: dict, piv: dict, c: int, p: int) -> tuple[dict, int, int]:
+def _combine(work: dict, piv: dict, c: int, p: int) -> tuple[dict, int]:
     """Clear column ``c`` of ``work`` against the pivot row ``piv``.
 
-    Returns ``(fa*work - fb*piv, fa, fb)``, where ``fa`` and ``fb`` are the
-    two entries at ``c`` divided by their gcd, swapped.  With ``p`` set the
+    Returns ``(fa*work - fb*piv, fa)``, where ``fa`` and ``fb`` are the two
+    entries at ``c`` divided by their gcd, swapped.  With ``p`` set the
     result is taken mod p; pivot rows are monic there, so ``fa`` is 1.
     """
     a, b = work[c], piv[c]
@@ -95,7 +99,7 @@ def _combine(work: dict, piv: dict, c: int, p: int) -> tuple[dict, int, int]:
             nxt[k] = nv
         else:
             del nxt[k]
-    return nxt, fa, fb
+    return nxt, fa
 
 
 class Echelon:
@@ -166,21 +170,17 @@ class Echelon:
             self.pivot_rows[c] = row
         self._reduced = True
 
-    def reduce(self, vec: dict):
-        """Reduce ``vec`` modulo the row space.
-
-        Returns ``(residue, coords)`` where ``vec = residue + sum
-        coords[c] * pivot_row[c]`` and the residue has no support on pivot
-        columns.  Over QQ the work is one integer row plus a running
-        denominator, and every scalar is coerced into canonical form.
+    def reduce(self, vec: dict) -> dict:
+        """The residue of ``vec`` modulo the row space: ``vec`` less a vector
+        of the row space, with no support on pivot columns.  Over QQ the
+        work is one integer row plus a running denominator, and every scalar
+        is coerced into canonical form.
         """
         p = self.p
         work, den = self._int_row(vec)
-        coords = {}
         while hits := [c for c in work if c in self.pivot_rows]:
             c = min(hits)
-            work, fa, fb = _combine(work, self.pivot_rows[c], c, p)
-            coords[c] = fb if p else QQ.coerce(Fraction(fb, fa * den))
+            work, fa = _combine(work, self.pivot_rows[c], c, p)
             if fa != 1:  # over QQ only; keep work / den in lowest terms
                 den *= fa
                 g = gcd(den, *work.values())
@@ -188,12 +188,21 @@ class Echelon:
                     den //= g
                     work = {k: v // g for k, v in work.items()}
         if p or den == 1:
-            return work, coords
-        return {k: QQ.coerce(Fraction(v, den)) for k, v in work.items()}, coords
+            return work
+        return {k: QQ.coerce(Fraction(v, den)) for k, v in work.items()}
 
     def contains(self, vec: dict) -> bool:
-        residue, _ = self.reduce(vec)
-        return not residue
+        return not self.reduce(vec)
+
+    def coefficients(self, vec: dict) -> dict:
+        """{c: a} with ``vec == sum a * pivot_rows[c]``, for ``vec`` in the
+        row space.  After ``full_reduce`` every other pivot row vanishes at
+        ``c``, so the coefficient at ``c`` is ``vec[c] / pivot_rows[c][c]``.
+        """
+        self.full_reduce()
+        rows, coerce = self.pivot_rows, self.field.coerce
+        return {c: coerce(v if (piv := rows[c][c]) == 1 else Fraction(v, piv))
+                for c, v in vec.items() if c in rows}
 
 
 class Quotient:
@@ -217,9 +226,8 @@ class Quotient:
 
     def project(self, vec: dict) -> dict:
         """Coordinates of ``vec`` modulo the row space, in ``basis``."""
-        residue, _ = self.ech.reduce(vec)
         position = self._position
-        return {position[c]: v for c, v in residue.items()}
+        return {position[c]: v for c, v in self.ech.reduce(vec).items()}
 
 
 def _transposed(rows: list[dict], ncols: int) -> list[dict]:
@@ -235,52 +243,40 @@ class Matrix:
     """A sparse exact matrix: ``rows[i]`` is row ``i`` as a vector, the
     layout ``Echelon`` eliminates on.
 
-    Built once, by the COO constructor from {(i, j): scalar} or by
-    ``from_rows`` or ``from_cols``, each coercing once.  ``col`` and ``cols``
-    read a column view built on first use.  ``entries``, the COO view, is
-    built on first read for the benchmark's tracer and the tests; no module
-    of the package reads it.
+    ``Matrix(rows, ncols, field)`` holds ``rows`` as given, so they must be
+    canonical, and ``nrows`` is ``len(rows)``.  ``from_rows`` and
+    ``from_cols`` take raw values and reduce each once.  ``col`` and
+    ``cols`` read a column view built on first use.  ``entries``, the
+    read-only COO view, is built on first read for the benchmark's tracer
+    and the tests; no module of the package reads it.
     """
 
     __slots__ = ("nrows", "ncols", "field", "rows", "basis_rows", "_cols",
                  "_entries")
 
-    def __init__(self, nrows: int, ncols: int, entries: dict, field=QQ):
-        coerce = field.coerce
-        rows = [{} for _ in range(nrows)]
-        for (i, j), v in entries.items():
-            cv = coerce(v)
-            if cv:
-                if not (0 <= i < nrows and 0 <= j < ncols):
-                    raise IndexError(f"entry {(i, j)} outside {nrows}x{ncols}")
-                rows[i][j] = cv
-        self.nrows, self.ncols, self.field, self.rows = nrows, ncols, field, rows
+    def __init__(self, rows: list, ncols: int, field=QQ):
+        self.nrows, self.ncols, self.field, self.rows = len(rows), ncols, field, rows
         self.basis_rows = self._cols = self._entries = None
 
     @classmethod
-    def _of_rows(cls, nrows, ncols, rows, field) -> "Matrix":
-        """A matrix holding ``rows``, which are already canonical."""
-        m = cls(0, ncols, {}, field)
-        m.nrows, m.rows = nrows, rows
-        return m
-
-    @classmethod
     def zeros(cls, nrows, ncols, field=QQ):
-        return cls(nrows, ncols, {}, field)
+        return cls([{} for _ in range(nrows)], ncols, field)
 
     @classmethod
     def identity(cls, n, field=QQ):
-        return cls(n, n, {(i, i): field.one for i in range(n)}, field)
+        return cls([{i: field.one} for i in range(n)], n, field)
 
     @classmethod
     def from_rows(cls, rows, ncols, field=QQ):
+        """The matrix of raw ``rows``, each reduced once; a column outside
+        0..ncols-1 raises IndexError."""
         out = []
         for i, row in enumerate(rows):
             row = reduced(field, row)
             if row and (min(row) < 0 or max(row) >= ncols):
                 raise IndexError(f"row {i} has a column outside 0..{ncols - 1}")
             out.append(row)
-        return cls._of_rows(len(out), ncols, out, field)
+        return cls(out, ncols, field)
 
     @classmethod
     def from_cols(cls, cols, nrows, field=QQ):
@@ -307,8 +303,7 @@ class Matrix:
         return dict(self._col_view()[j])
 
     def transpose(self) -> "Matrix":
-        return Matrix._of_rows(self.ncols, self.nrows,
-                               _transposed(self.rows, self.ncols), self.field)
+        return Matrix(_transposed(self.rows, self.ncols), self.nrows, self.field)
 
     def is_zero(self) -> bool:
         return not any(self.rows)
@@ -339,7 +334,7 @@ class Matrix:
             # reduced row by row, so a vanishing product (every d∘d check)
             # never holds its zero sums all at once
             out.append(reduced(F, acc))
-        return Matrix._of_rows(self.nrows, other.ncols, out, F)
+        return Matrix(out, other.ncols, F)
 
     def times_vec(self, vec: dict) -> dict:
         return reduced(self.field, {
@@ -379,7 +374,7 @@ class Matrix:
             for new, j in enumerate(sorted(range(n), key=count.__getitem__)):
                 label[j] = new
             vecs = [{label[j]: v for j, v in rows[i].items()} for i in order]
-        ordered = Matrix._of_rows(len(vecs), n, vecs, self.field)
+        ordered = Matrix(vecs, n, self.field)
         ech = ordered.echelon()
         self.basis_rows = [order[k] for k in
                            (ech.pivot_rows if tall else ordered.basis_rows)]
@@ -397,7 +392,7 @@ class Matrix:
                 k += 1
         rows = [{c: v for j, v in row.items() if (c := label[j]) is not None}
                 for row in self.rows]
-        return Matrix._of_rows(self.nrows, k, rows, self.field)
+        return Matrix(rows, k, self.field)
 
     def nullity(self) -> int:
         return self.ncols - self.rank()

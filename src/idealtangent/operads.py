@@ -69,13 +69,12 @@ class SModule:
     on demand; the generator relations are verified exactly.
     """
 
-    def __init__(self, pieces: dict, transpositions: dict, field=QQ, check=True):
+    def __init__(self, pieces: dict, transpositions: dict, field=QQ):
         self.field = field
         self.pieces = {n: list(v) for n, v in pieces.items() if v}
         self.transpositions = transpositions
         self._action_cache: dict = {}
-        if check:
-            self.validate()
+        self.validate()
 
     def arities(self):
         return sorted(self.pieces)
@@ -138,7 +137,7 @@ def suspend(e: SModule, inverse=False) -> SModule:
     transpositions = {
         n: [m.scale(-1) for m in e.transpositions[n]]
         for n in e.pieces}
-    return SModule(pieces, transpositions, e.field, check=False)
+    return SModule(pieces, transpositions, e.field)
 
 
 # ---------------------------------------------------------------------------
@@ -202,9 +201,8 @@ class LieOperad:
     def coordinates(self, n, word_vec: dict) -> dict:
         ech, marker = self._solvers[n]
         vec = {self._word_index[n][w]: c for w, c in word_vec.items()}
-        residue, _ = ech.reduce(vec)
         coords = {}
-        for col, v in residue.items():
+        for col, v in ech.reduce(vec).items():
             if col < marker:
                 raise ValidationError("element is not in the Lie subspace")
             coords[col - marker] = -v

@@ -44,7 +44,7 @@ def _pullback_components(quotient: QuotientData, hc_sub: HarrisonComplex,
     for w in range(1, top_weight + 1):
         src = hc_sub.space(w)   # weight-w cochains of B = A/I
         dst = hc_amb.space(w)   # weight-w cochains of A, valued in B
-        entries = {}
+        rows = [{} for _ in range(dst.dim)]
         for b_idx, blk in enumerate(dst.blocks):
             dim_m = hc_amb.module.dim(blk.e)
             for pos, col in enumerate(blk.std):
@@ -74,8 +74,8 @@ def _pullback_components(quotient: QuotientData, hc_sub: HarrisonComplex,
                 for (sb, t), v in reduced(F, acc).items():
                     col_base = src.offsets[sb] + t * dim_m
                     for m in range(dim_m):
-                        entries[(row_base + m, col_base + m)] = v
-        comps[(w - 1, 0)] = Matrix(dst.dim, src.dim, entries, F)
+                        rows[row_base + m][col_base + m] = v
+        comps[(w - 1, 0)] = Matrix(rows, src.dim, F)
     return comps
 
 

@@ -320,7 +320,7 @@ def test_criterion_9_mc_and_tangent_suite():
         (a3, a3, {0: Matrix.identity(3)}),
         (a2, a2, {0: Matrix.identity(2)}),
         # A = span(x,x^2,x^3) -> B = span(y,y^2): x -> y kills x^3
-        (a3, a2, {0: Matrix(2, 3, {(0, 0): 1, (1, 1): 1}, QQ)}),
+        (a3, a2, {0: Matrix.from_rows([{0: 1}, {1: 1}], 3, QQ)}),
     ]
     from idealtangent.harrison import module_via_homomorphism
     for algebra_a, algebra_b, comps in cases:

@@ -140,7 +140,7 @@ def test_perturbed_deeper_floor_is_caught(monkeypatch):
         terms, diffs = dict(cx.terms), dict(cx.diffs)
         terms[(ci.n, 0)] += 1
         d = cx.diff(ci.n - 1)
-        diffs[(ci.n - 1, 0)] = Matrix(d.nrows + 1, d.ncols, d.entries, d.field)
+        diffs[(ci.n - 1, 0)] = Matrix.from_rows(d.rows + [{}], d.ncols, d.field)
         return CochainComplex(terms, diffs, cx.field)
 
     monkeypatch.setattr(cicech, "_total_complex", perturbed)

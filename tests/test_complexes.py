@@ -56,19 +56,19 @@ def koszul_xy_degree_slice(d):
     n1 = 2 * len(mono_basis(d - 1))
     n2 = len(mono_basis(d))
     terms = {(0, d): n0, (1, d): n1, (2, d): n2}
-    ent0 = {}
+    rows0 = [{} for _ in range(n1)]
     for (i, j), v in mult_matrix(d - 2, "y", d - 1).items():
-        ent0[(i, j)] = -v
+        rows0[i][j] = -v
     off = len(mono_basis(d - 1))
     for (i, j), v in mult_matrix(d - 2, "x", d - 1).items():
-        ent0[(i + off, j)] = v
-    d0 = Matrix(n1, n0, ent0, QQ)
-    ent1 = {}
+        rows0[i + off][j] = v
+    d0 = Matrix.from_rows(rows0, n0, QQ)
+    rows1 = [{} for _ in range(n2)]
     for (i, j), v in mult_matrix(d - 1, "x", d).items():
-        ent1[(i, j)] = v
+        rows1[i][j] = v
     for (i, j), v in mult_matrix(d - 1, "y", d).items():
-        ent1[(i, j + off)] = v
-    d1 = Matrix(n2, n1, ent1, QQ)
+        rows1[i][j + off] = v
+    d1 = Matrix.from_rows(rows1, n1, QQ)
     return CochainComplex(terms, {(0, d): d0, (1, d): d1}, QQ)
 
 
@@ -163,8 +163,8 @@ def test_each_differential_is_ranked_once(monkeypatch):
 def _random_matrix(data, F, nrows, ncols):
     vals = data.draw(st.lists(st.sampled_from([0, 1, -1, 2, 3]),
                               min_size=nrows * ncols, max_size=nrows * ncols))
-    return Matrix(nrows, ncols, {(a, b): vals[a * ncols + b]
-                                 for a in range(nrows) for b in range(ncols)}, F)
+    return Matrix.from_rows([{b: vals[a * ncols + b] for b in range(ncols)}
+                             for a in range(nrows)], ncols, F)
 
 
 def _random_complex(data, F, length):
@@ -181,10 +181,11 @@ def _random_complex(data, F, length):
 
 
 def _plus(a, b):
-    ent = dict(a.entries)
-    for k, v in b.entries.items():
-        ent[k] = ent.get(k, 0) + v
-    return Matrix(a.nrows, a.ncols, ent, a.field)
+    rows = [dict(row) for row in a.rows]
+    for row, other in zip(rows, b.rows):
+        for k, v in other.items():
+            row[k] = row.get(k, 0) + v
+    return Matrix.from_rows(rows, a.ncols, a.field)
 
 
 @settings(max_examples=150, deadline=None)
@@ -204,7 +205,9 @@ def test_chain_map_accepted_exactly_when_it_commutes(F, length, data):
         a = data.draw(st.integers(0, T.dim(i) - 1))
         b = data.draw(st.integers(0, S.dim(i) - 1))
         comps[(i, 0)] = _plus(comps[(i, 0)],
-                              Matrix(T.dim(i), S.dim(i), {(a, b): 1}, F))
+                              Matrix.from_rows([{b: 1} if r == a else {}
+                                                for r in range(T.dim(i))],
+                                               S.dim(i), F))
 
     def f(i):
         return comps.get((i, 0), Matrix.zeros(T.dim(i), S.dim(i), F))

@@ -250,7 +250,7 @@ def test_module_via_homomorphism_identity_and_failure():
     ident = {0: Matrix.identity(3)}
     m = module_via_homomorphism(a, a, ident)
     assert harrison_cohomology(a, m, 1) == 3
-    bad = {0: Matrix(3, 3, {(0, 1): QQ.one}, QQ)}  # sends x^2 -> x
+    bad = {0: Matrix.from_rows([{1: QQ.one}, {}, {}], 3, QQ)}  # sends x^2 -> x
     with pytest.raises(NotAHomomorphismError):
         module_via_homomorphism(a, a, bad)
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from idealtangent import tangent
+from idealtangent import barcobar, cicech, tangent
 from idealtangent.complexes import ChainMap, CochainComplex
 from idealtangent.fields import QQ, PrimeField, reduced
 from idealtangent.graded import HomIdealPresentation, _bilinear
@@ -81,7 +81,7 @@ def test_reduce_membership():
     assert ech.contains({0: 2, 1: 5, 2: 1})
     assert not ech.contains({2: 1, 3: 4})
     assert ech.contains({0: 3, 1: 6})  # 3 * first row
-    residue, _ = ech.reduce({0: 3, 1: 7})
+    residue = ech.reduce({0: 3, 1: 7})
     assert residue and 2 in residue  # reduction pushed support to column 2
 
 
@@ -226,8 +226,8 @@ small_ints = st.sampled_from([0, 0, 0, 1, -1, 2, 3])
 def _int_matrix(data, F, nrows, ncols):
     cells = data.draw(st.lists(small_ints, min_size=nrows * ncols,
                                max_size=nrows * ncols))
-    return Matrix(nrows, ncols, {(i, j): cells[i * ncols + j]
-                                 for i in range(nrows) for j in range(ncols)}, F)
+    return Matrix.from_rows([{j: cells[i * ncols + j] for j in range(ncols)}
+                             for i in range(nrows)], ncols, F)
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,21 +268,34 @@ def test_cleared_ranks_match_plain_ranks_and_dense_reference(F, length, data):
 @settings(max_examples=150, deadline=None)
 @given(kernel_fields, sparse_rows, st.booleans(),
        st.dictionaries(st.integers(0, 6), scalars, max_size=7))
-def test_reduce_residue_and_coordinates_are_exact(F, rows_ncols, full, vec):
+def test_reduce_residue_is_exact(F, rows_ncols, full, vec):
     rows, _ = rows_ncols
     ech = echelon_of(rows, F)
     if full:
         ech.full_reduce()
-    residue, coords = ech.reduce(vec)
+    residue = ech.reduce(vec)
     assert not set(residue) & set(ech.pivot_rows)
     assert _is_canonical(F, residue.values())
-    assert _is_canonical(F, coords.values())
-    total = dict(residue)
-    for c, k in coords.items():
-        for j, v in ech.pivot_rows[c].items():
-            total[j] = total.get(j, 0) + k * v
-    assert reduced(F, total) == reduced(F, vec)
+    # vec - residue lies in the row space: it gives a fresh echelon of the
+    # same rows no new pivot
+    fresh = echelon_of(rows, F)
+    assert fresh.insert(_plus_multiple(F, vec, -1, residue)) is None
     assert ech.contains(vec) == (not residue)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kernel_fields, sparse_rows, st.data())
+def test_coefficients_recover_a_combination_of_pivot_rows(F, rows_ncols, data):
+    rows, _ = rows_ncols
+    ech = echelon_of(rows, F)
+    ech.full_reduce()
+    coeffs = {c: data.draw(scalars) for c in ech.pivot_rows}
+    vec = {}
+    for c, a in coeffs.items():
+        vec = _plus_multiple(F, vec, a, ech.pivot_rows[c])
+    got = ech.coefficients(vec)
+    assert got == reduced(F, coeffs)
+    assert _is_canonical(F, got.values())
 
 
 @settings(max_examples=150, deadline=None)
@@ -363,6 +376,10 @@ def _sparse(dense):
     return {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
 
 
+def _of_dense(dense, ncols, F):
+    return Matrix.from_rows([dict(enumerate(row)) for row in dense], ncols, F)
+
+
 def _is_canonical(F, values):
     """Nonzero and in the field's one form: over GF(p) an int in [1, p),
     over QQ an int when integral, else a Fraction with denominator > 1."""
@@ -379,7 +396,7 @@ def _is_canonical(F, values):
 def test_products_match_a_dense_reference_and_are_canonical(F, n, k, m, c, data):
     a, b = _dense(data, n, k), _dense(data, k, m)
     vec = dict(enumerate(data.draw(st.lists(scalars, min_size=k, max_size=k))))
-    A, B = Matrix(n, k, _sparse(a), F), Matrix(k, m, _sparse(b), F)
+    A, B = _of_dense(a, k, F), _of_dense(b, m, F)
     ab = [[F.coerce(sum(a[i][t] * b[t][j] for t in range(k))) for j in range(m)]
           for i in range(n)]
     assert A.mul(B).entries == _sparse(ab)
@@ -391,7 +408,7 @@ def test_products_match_a_dense_reference_and_are_canonical(F, n, k, m, c, data)
         assert _is_canonical(F, out.values())
     # the bilinear table of a one-degree algebra: column t*k + s is e_t * e_s
     table = _dense(data, k, k * k)
-    mult = {(0, 0): Matrix(k, k * k, _sparse(table), F)}
+    mult = {(0, 0): _of_dense(table, k * k, F)}
     u = dict(enumerate(data.draw(st.lists(scalars, min_size=k, max_size=k))))
     prod = {r: F.coerce(sum(u[t] * vec[s] * table[r][t * k + s]
                             for t in range(k) for s in range(k)))
@@ -414,9 +431,9 @@ def test_reduce_kernel_and_projection_are_canonical_on_mixed_input(F, ncols, ful
     ech = echelon_of(rows, F)
     if full:
         ech.full_reduce()
-    residue, coords = ech.reduce(vec)
+    residue = ech.reduce(vec)
     assert _is_canonical(F, residue.values())
-    assert _is_canonical(F, coords.values())
+    assert echelon_of(rows, F).insert(_plus_multiple(F, vec, -1, residue)) is None
     assert _is_canonical(F, Quotient(ech, ncols).project(vec).values())
     kernel = Matrix.from_rows(rows, ncols, F).kernel_basis()
     assert _is_canonical(F, kernel.entries.values())
@@ -445,6 +462,32 @@ def test_every_scalar_of_a_qq_tangent_solve_is_canonical(monkeypatch):
     assert {type(v) for v in values} == {int, Fraction}
 
 
+@pytest.mark.parametrize("F", [QQ, PrimeField(7)])
+def test_every_scalar_of_the_cech_and_bar_differentials_is_canonical(F, monkeypatch):
+    # the Koszul probe, the Cech-Koszul total complex and the bar and cobar
+    # complexes add raw sums into their rows, which from_rows reduces once
+    built = []
+
+    class Recording(CochainComplex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(cicech, "CochainComplex", Recording)
+    monkeypatch.setattr(barcobar, "CochainComplex", Recording)
+    ci = cicech.CIData.from_strings(3, ["x0^2 - 1/2*x1*x2"])
+    cicech._koszul_exactness_probe(ci, [2, 3], F)
+    cicech._total_complex(ci, 2, 4, F)
+    barcobar.BarCom(3, F).homology_dims(3)
+    barcobar.cobar_lie_dual(3, F).complex(3)
+    assert len(built) == 5
+    values = [v for cx in built for m in cx.diffs.values()
+              for row in m.rows for v in row.values()]
+    assert _is_canonical(F, values)
+    if F == QQ:  # the form's -1/2 makes both forms occur
+        assert {type(v) for v in values} == {int, Fraction}
+
+
 # -- the row layout: every constructor and view holds the same matrix --
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "idealtangent"
@@ -456,25 +499,36 @@ raw_scalars = st.one_of(st.just(0), scalars, st.integers(-20, 20))
 @given(layout_fields, st.integers(1, 5), st.integers(1, 5), st.data())
 def test_constructors_and_views_agree(F, n, k, data):
     cells = data.draw(st.lists(raw_scalars, min_size=n * k, max_size=n * k))
-    coo = {(i, j): cells[i * k + j] for i in range(n) for j in range(k)}
-    m = Matrix(n, k, coo, F)
-    assert m.entries == {ij: F.coerce(v) for ij, v in coo.items() if F.coerce(v)}
-    assert Matrix.from_rows([{j: coo[i, j] for j in range(k)} for i in range(n)],
-                            k, F) == m
-    assert Matrix.from_cols([{i: coo[i, j] for i in range(n)} for j in range(k)],
+    raw = [{j: cells[i * k + j] for j in range(k)} for i in range(n)]
+    m = Matrix.from_rows(raw, k, F)
+    assert (m.nrows, m.ncols) == (n, k)
+    assert m.entries == {(i, j): F.coerce(v) for i, row in enumerate(raw)
+                         for j, v in row.items() if F.coerce(v)}
+    assert _is_canonical(F, m.entries.values())
+    # the constructor holds canonical rows as they are
+    held = Matrix(m.rows, k, F)
+    assert held == m and held.rows is m.rows and held.nrows == n
+    assert Matrix.from_cols([{i: raw[i][j] for i in range(n)} for j in range(k)],
                             n, F) == m
     t = m.transpose()
+    assert (t.nrows, t.ncols) == (k, n)
     assert m.cols() == t.rows
     assert [m.col(j) for j in range(k)] == t.rows
     assert t.transpose() == m
-    for build in (lambda: Matrix(n, k, {(n, 0): 1}, F),
-                  lambda: Matrix(n, k, {(0, -1): 1}, F),
-                  lambda: Matrix.from_rows([{k: 1}], k, F),
-                  lambda: Matrix.from_rows([{-1: 1}], k, F),
-                  lambda: Matrix.from_cols([{n: 1}], n, F)):
+    zero = Matrix.zeros(n, k, F)
+    assert zero == Matrix.from_rows([{}] * n, k, F) and zero.is_zero()
+    assert (zero.nrows, zero.ncols) == (n, k)
+    assert Matrix.identity(n, F) == Matrix.from_rows([{i: 1} for i in range(n)],
+                                                     n, F)
+    for build in (lambda: Matrix.from_rows([{k: 1}], k, F),
+                  lambda: Matrix.from_rows([{}, {-1: 1}], k, F),
+                  lambda: Matrix.from_cols([{n: 1}], n, F),
+                  lambda: Matrix.from_cols([{-1: 1}], n, F)):
         with pytest.raises(IndexError):
             build()
-    assert Matrix(n, k, {(n, k): 0}, F).is_zero()
+    # a zero outside the bounds is dropped before the bounds are read
+    assert Matrix.from_rows([{k: 0}], k, F).is_zero()
+    assert Matrix.from_cols([{n: 0}], n, F).is_zero()
 
 
 @settings(max_examples=100, deadline=None)
@@ -484,16 +538,15 @@ def test_mapping_fiber_is_the_block_matrix(F, a, b, c, data):
     # S = T = (F^a --d--> F^b) and f = c * identity; the fiber's
     # differentials are [d; c] and [c | -d]
     cells = data.draw(st.lists(raw_scalars, min_size=a * b, max_size=a * b))
-    d = {(i, j): cells[i * a + j] for i in range(b) for j in range(a)}
-    cx = CochainComplex({(0, 0): a, (1, 0): b}, {(0, 0): Matrix(b, a, d, F)}, F)
+    d = [{j: cells[i * a + j] for j in range(a)} for i in range(b)]
+    cx = CochainComplex({(0, 0): a, (1, 0): b},
+                        {(0, 0): Matrix.from_rows(d, a, F)}, F)
     f = ChainMap(cx, cx, {(0, 0): Matrix.identity(a, F).scale(c),
                           (1, 0): Matrix.identity(b, F).scale(c)})
-    d0 = dict(d)
-    d0.update({(b + k, k): c for k in range(a)})
-    d1 = {(k, k): c for k in range(b)}
-    d1.update({(i, b + j): -v for (i, j), v in d.items()})
-    assert f.fiber.diff(0) == Matrix(b + a, a, d0, F)
-    assert f.fiber.diff(1) == Matrix(b, b + a, d1, F)
+    d0 = d + [{k: c} for k in range(a)]
+    d1 = [{k: c, **{b + j: -v for j, v in d[k].items()}} for k in range(b)]
+    assert f.fiber.diff(0) == Matrix.from_rows(d0, a, F)
+    assert f.fiber.diff(1) == Matrix.from_rows(d1, b + a, F)
 
 
 def entries_readers(source: str) -> list:

@@ -98,7 +98,7 @@ def test_free_operad_dimension_recursion_on_lie_star_generators():
 def test_tree_action_is_group_action():
     e = SModule({2: [("b", 0)], 3: [("t", -1), ("u", -1)]},
                 {2: [Matrix.identity(1)],
-                 3: [Matrix.identity(2), Matrix.identity(2)]}, check=False)
+                 3: [Matrix.identity(2), Matrix.identity(2)]})
     basis = TreeBasis(e, 3)
     import itertools
     for p in itertools.permutations(range(3)):
