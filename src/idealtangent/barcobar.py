@@ -86,9 +86,16 @@ class LieDualCooperad:
 
 class BarCom:
     """The dg-cooperad Bar(Com) through an arity cap (trees on suspended
-    commutative generators; differential contracts single edges)."""
+    commutative generators; differential contracts single edges).
+
+    Supported through arity 3: with the contraction signs of
+    ``_contractions`` the arity-4 complex fails its own d∘d check, so a
+    larger cap is refused with a ``BudgetError``."""
 
     def __init__(self, n_cap=3, field=QQ):
+        if n_cap > 3:
+            raise BudgetError(f"Bar(Com) arity cap {n_cap} is beyond the "
+                              f"supported cap 3")
         self.field = field
         self.n_cap = n_cap
         # suspended commutative generators: arity k, degree k - 2, sign rep

@@ -26,7 +26,7 @@ from .errors import BudgetError, InternalCheckError, ValidationError
 from .fields import QQ, reduced
 from .graded import AlgebraModule, FiniteGradedAlgebra
 from .harrison import HarrisonComplex, _shuffles
-from .linalg import Echelon
+from .linalg import Matrix
 from .operads import koszul_reorder_sign
 
 
@@ -190,7 +190,7 @@ def rca_tangent_via_mc(algebra: FiniteGradedAlgebra) -> int:
         for w in range(dim):
             var[(p, w)] = len(var)
 
-    ech = Echelon(F)
+    rows = []
     mu = strict.operations.get(2, {})
 
     def mu_val(a, b):
@@ -218,8 +218,8 @@ def rca_tangent_via_mc(algebra: FiniteGradedAlgebra) -> int:
                         mu_val(tgt, mid).get(w)
                     if coeff is not None:
                         add((gp, mid), sgn * coeff)
-            ech.insert(row)
-    return len(var) - ech.rank
+            rows.append(row)
+    return Matrix.from_rows(rows, len(var), F).nullity()
 
 
 def rhom_tangent(algebra_a: FiniteGradedAlgebra, algebra_b: FiniteGradedAlgebra,

@@ -100,8 +100,9 @@ def run_harrison(sc: Scenario) -> dict:
 def run_operad(sc: Scenario) -> dict:
     from .barcobar import BarCom, CobarOperad, cobar_lie_dual
     from .operads import LieOperad
-    # Lie dimensions go up to the requested cap (max 5); bar/cobar follow
-    # their own caps (4 and 3)
+    # Lie dimensions go up to the requested cap (max 5); the cobar of the
+    # Lie dual goes to 4.  Bar(Com) stops at 3 because BarCom refuses more:
+    # its arity-4 complex fails its own d∘d check.
     lie = LieOperad(min(sc.arity_cap, 5))
     cap = min(sc.arity_cap, 4)
     report = _base_report(sc)

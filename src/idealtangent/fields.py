@@ -11,11 +11,14 @@ Fractions; a raw sum or product is brought back into the field once, by
 ``coerce``, where a vector, a matrix or an element dict is produced, and
 ``reduced`` does that for a whole dict and drops the zeros.  Over QQ
 ``coerce`` turns an integral Fraction into its numerator, so integral work
-stays in int arithmetic; over GF(p) it is ``x % p``.  A sum is reduced
-once, not after every operation.  Never apply ``/`` or ``//`` to field
-values: ``/`` of two ints is a float, and ``//`` on a QQ scalar is an
-integer division.  A field object carries ``p`` (0 for QQ), ``one`` and
-``coerce`` and no arithmetic methods.
+stays in int arithmetic; over GF(p) it is ``x % p``.  ``reduced`` applies
+that rule to a plain int inline (``v % p`` over GF(p); over QQ an int is
+already canonical) and calls ``coerce`` for every other value, so it stays
+the one reduction point.  A sum is reduced once, not after every
+operation.  Never apply ``/`` or ``//`` to field values: ``/`` of two ints
+is a float, and ``//`` on a QQ scalar is an integer division.  A field
+object carries ``p`` (0 for QQ), ``one`` and ``coerce`` and no arithmetic
+methods.
 """
 from __future__ import annotations
 
@@ -114,9 +117,14 @@ QQ = RationalField()
 
 def reduced(field, values: dict) -> dict:
     """``values`` with every scalar reduced by ``field.coerce`` and the zeros
-    dropped: the one point where raw sums become field elements."""
-    coerce = field.coerce
-    return {k: cv for k, v in values.items() if (cv := coerce(v))}
+    dropped: the one point where raw sums become field elements.  A plain
+    int, the common case, is reduced inline rather than by a call."""
+    coerce, p = field.coerce, field.p
+    if p:
+        return {k: cv for k, v in values.items()
+                if (cv := v % p if type(v) is int else coerce(v))}
+    return {k: cv for k, v in values.items()
+            if (cv := v if type(v) is int else coerce(v))}
 
 
 #: default accelerator prime (> 10**6, comfortably above all structure

@@ -2,9 +2,10 @@
 
 A point is a graded subspace of a finite graded algebra passing the exact
 ideal test.  The classical tangent space is the space of degree-0 module
-homomorphisms I/I^2 -> A/I, computed as the kernel of an exact linear
-constraint system.  The bases of A/I and of I/I^2 are chosen, and vectors
-projected onto them, by ``linalg.Quotient`` and nowhere else.
+homomorphisms I/I^2 -> A/I, the nullity of an exact linear constraint
+system; only its dimension is reported, so ``Matrix.rank`` takes it in the
+fill-reducing order.  The bases of A/I and of I/I^2 are chosen, and
+vectors projected onto them, by ``linalg.Quotient`` and nowhere else.
 
 The tables of A/I are written by ``graded.table``: its multiplication
 projects products of lifted basis elements, and A/I is an A-module by
@@ -241,7 +242,8 @@ def classical_tangent_dim(algebra: FiniteGradedAlgebra, ideal: IdealPoint,
 
     Unknowns are the matrix entries of the degreewise maps; linearity over
     the quotient is imposed as exact linear constraints and the answer is
-    the nullity of the system.
+    the nullity of the system, taken by ``Matrix.rank`` in the
+    fill-reducing order.  A rank does not depend on the order of the rows.
     """
     if quotient is None:
         quotient = QuotientData(algebra, ideal)
@@ -258,7 +260,7 @@ def classical_tangent_dim(algebra: FiniteGradedAlgebra, ideal: IdealPoint,
         return 0
 
     multipliers = algebra.degrees if all_multipliers else _multiplier_degrees(algebra)
-    ech = Echelon(F)
+    rows = []
     for i in multipliers:
         for sa in range(B.dim(i)):
             va = {quotient.quotients[i].basis[sa]: F.one}
@@ -280,5 +282,5 @@ def classical_tangent_dim(algebra: FiniteGradedAlgebra, ideal: IdealPoint,
                             if cv is not None:
                                 key = var_index[(d, r, s)]
                                 row[key] = row.get(key, 0) - cv
-                        ech.insert(row)
-    return len(var_index) - ech.rank
+                        rows.append(row)
+    return Matrix.from_rows(rows, len(var_index), F).nullity()

@@ -27,6 +27,9 @@ pivot left to right, so they are reproducible.  Rank-only elimination,
 dimension in a fill-reducing order instead: the other dimension's indices
 relabelled by ascending nonzero count, the vectors inserted shortest first.
 A rank does not depend on the order, and sparse pivots keep the fill low.
+Its callers need a dimension only: ``CochainComplex.rank`` for every
+cohomology dimension, and ``nullity`` for the constraint systems of
+``idealpoints.classical_tangent_dim`` and ``cinfinity.rca_tangent_via_mc``.
 It also records ``basis_rows``, a set R of ``rank`` rows that span the row
 space, read from the same elimination.  ``CochainComplex.rank`` clears with
 it: the next differential is ranked without the columns R (``without_cols``),

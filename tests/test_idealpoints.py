@@ -15,7 +15,10 @@ P1 = HomIdealPresentation.from_strings(2, [])
 P2 = HomIdealPresentation.from_strings(3, [])
 TWO_POINTS = HomIdealPresentation.from_strings(2, ["x0*x1"])
 THREE_POINTS = HomIdealPresentation.from_strings(2, ["x0*x1*x0 - x1^2*x0"])
+P3 = HomIdealPresentation.from_strings(4, [])
 CONIC = HomIdealPresentation.from_strings(3, ["x0^2 - x1*x2"])
+TWISTED_CUBIC = HomIdealPresentation.from_strings(
+    4, ["x0*x2 - x1^2", "x1*x3 - x2^2", "x0*x3 - x1*x2"])
 
 
 def test_zero_and_full_subspaces_are_ideals():
@@ -204,3 +207,55 @@ def test_tables_of_the_quotient_project_the_ambient_products(field, x, seed):
                     prod = A.multiply(i, {q.quotients[i].basis[b]: one}, e, lift_m)
                     want = quo.project(prod) if quo else {}
                     assert B.mult_column(i, b, e, m) == want
+
+
+def _conic_in_coordinates(signs) -> HomIdealPresentation:
+    """y0^2 - y1*y2 in the coordinates x with y = A x, where
+    A = ((1,1,0),(0,1,1),(1,0,1)) * diag(signs): every monomial of the
+    conic gets a coefficient, as in generic coordinates."""
+    a = [[g * s for g, s in zip(row, signs)]
+         for row in ((1, 1, 0), (0, 1, 1), (1, 0, 1))]
+    coeffs = {}
+    for i in range(3):
+        for j in range(3):
+            key = (min(i, j), max(i, j))
+            coeffs[key] = coeffs.get(key, 0) + a[0][i] * a[0][j] - a[1][i] * a[2][j]
+    form = " ".join(f"{'-' if c < 0 else '+'} {abs(c)}*x{i}*x{j}"
+                    for (i, j), c in sorted(coeffs.items()) if c)
+    return HomIdealPresentation.from_strings(3, [form.lstrip("+ ")])
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7), PrimeField(1000003)],
+                         ids=str)
+@pytest.mark.parametrize("signs", [(1, 1, 1), (1, -1, 1), (-1, 1, -1),
+                                   (1, 1, -1)])
+def test_classical_tangent_of_a_conic_in_generic_coordinates(field, signs):
+    # oracle: conics in P^2 form P^5, in any coordinates; the rank is taken
+    # in the fill-reducing order, the reduced and full multiplier systems
+    # differ in their rows, and both must give the exact nullity
+    conic = _conic_in_coordinates(signs)
+    assert len(conic.gens[0].coeffs) == 6
+    for window in ((2, 5), (2, 6)):
+        ring = coordinate_ring_truncation(P2, *window, field)
+        point = subscheme_to_point(ring, conic)
+        q = QuotientData(ring.algebra, point)
+        assert classical_tangent_dim(ring.algebra, point, q) == 5
+        assert classical_tangent_dim(ring.algebra, point, q,
+                                     all_multipliers=True) == 5
+
+
+@pytest.mark.parametrize("x,seed", [("P2", 1), ("P2", 2), ("CONIC", 3),
+                                    ("CONIC", 4), ("TWISTED_CUBIC", None)])
+def test_classical_tangent_agrees_over_qq_and_a_large_prime(x, seed):
+    # oracle for the twisted cubic: its Hilbert scheme component has
+    # dimension 12; the seeded subschemes are compared across the fields
+    ambient = P3 if x == "TWISTED_CUBIC" else {"P2": P2, "CONIC": CONIC}[x]
+    z = TWISTED_CUBIC if seed is None else _seeded_subscheme(ambient, seed)
+    dims = []
+    for field in (QQ, PrimeField(1000003)):
+        ring = coordinate_ring_truncation(ambient, 2, 5, field)
+        dims.append(classical_tangent_dim(ring.algebra,
+                                          subscheme_to_point(ring, z)))
+    assert dims[0] == dims[1]
+    if seed is None:
+        assert dims[0] == 12

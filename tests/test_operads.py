@@ -187,6 +187,15 @@ def test_bar_com_3_character_matches_suspended_lie_dual():
     assert tr in (-1, 0, 1)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=repr)
+def test_bar_com_refuses_an_arity_cap_beyond_3(field):
+    # the arity-4 complex fails its own d∘d check, so the cap is refused
+    # before anything is built
+    with pytest.raises(BudgetError, match="supported cap 3"):
+        BarCom(4, field)
+    assert BarCom(3, field).n_cap == 3
+
+
 def test_cobar_bar_com_is_com():
     barcom = BarCom(3)
     bb = CobarOperad(barcom, 3)
